@@ -325,10 +325,7 @@ def _counterexample_text(report: TransferReport) -> str:
 def cmd_transfer(args, config: CliConfig, out: TextIO, err: TextIO) -> int:
     try:
         entries = load_corpus(args.file)
-    except UsageError as exc:
-        print(exc, file=err)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(exc, file=err)
         return 2
     parsed = _parse_corpus(entries, err)
@@ -393,10 +390,9 @@ def cmd_repl(args, config: CliConfig, out: TextIO, err: TextIO) -> int:
                 name, expr_text = match.group(1), match.group(2)
                 value = evaluate(parse_text(expr_text), env, config.precision)
                 env[name] = value
-                _render_value_text(value, out)
             else:
                 value = evaluate(parse_text(line), env, config.precision)
-                _render_value_text(value, out)
+            _render_value_text(value, out)
         except (LexError, ParseError, LCError, UsageError) as exc:
             print(f"error: {exc}", file=err)
     return 0

@@ -12,9 +12,10 @@ infinity.
 Every value carries a relative precision ``T``: no term is stored at or
 beyond ``T`` exponent units above the leading exponent.  Addition and
 multiplication are exact whenever the exact result fits inside that
-window; ``inverse`` and ``sqrt`` expand a geometric or binomial series
-up to the window's edge, so a product such as ``mul(a, inverse(a))``
-agrees with the exact answer to the guaranteed order only.
+window; ``inverse`` and ``sqrt`` share one power-series recurrence
+that expands ``a ** alpha`` up to the window's edge, so a product such
+as ``mul(a, inverse(a))`` agrees with the exact answer to the guaranteed
+order only.
 
 Values are immutable and every operation is a pure function, so values
 may be freely shared across threads.  Floats are rejected everywhere:
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, isqrt, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -67,6 +68,8 @@ RationalLike = Union[Fraction, int]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+_HALF = Fraction(1, 2)
 
 
 class LCError(ArithmeticError):
@@ -337,11 +340,7 @@ def _build(
         # of known terms rather than overclaiming.
         precision = max(1, floor(bound - lead))
     cutoff = lead + precision
-    kept = sorted(
-        (e, c)
-        for e, c in nonzero.items()
-        if e < cutoff and (bound is None or e < bound)
-    )
+    kept = sorted((e, c) for e, c in nonzero.items() if e < cutoff)
     return LCNumber(tuple(kept), precision)
 
 
@@ -415,38 +414,50 @@ def mul(a: LCNumber, b: LCNumber) -> LCNumber:
     return _build(acc, precision)
 
 
-def _trunc_mul(
-    x: Mapping[Fraction, Fraction], y: Mapping[Fraction, Fraction], cutoff: Fraction
-) -> dict[Fraction, Fraction]:
-    """Multiply raw term maps, dropping exponents at or beyond ``cutoff``."""
-    out: dict[Fraction, Fraction] = {}
-    for ex, cx in x.items():
-        for ey, cy in y.items():
-            e = ex + ey
-            if e < cutoff:
-                out[e] = out.get(e, _ZERO) + cx * cy
-    return {e: c for e, c in out.items() if c != 0}
+def _series_power(a: LCNumber, alpha: Fraction, lead: Fraction) -> LCNumber:
+    """``a ** alpha`` for nonzero ``a``, expanded to the precision window.
+
+    ``lead`` is ``c0 ** alpha`` for the leading coefficient ``c0``.  With
+    ``a = c0·eps^e0·(1 + t)``, ``b = (1 + t)^alpha`` satisfies
+    ``(1 + t)·D(b) = alpha·D(t)·b``, where ``D`` multiplies each term by its
+    exponent.  Hence J.C.P. Miller's recurrence
+    ``e·b_e = sum_f ((alpha+1)·f - e)·t_f·b_(e-f)`` fills every exponent the
+    tail reaches below the window, in ascending order.  It is homogeneous in
+    the exponents, so it runs on integers over the tail's common denominator
+    ``d``, which hash and compare far faster than ``Fraction``.
+    """
+    e0, c0 = a.terms[0]
+    shift = alpha * e0
+    if len(a.terms) == 1:
+        return LCNumber(((shift, lead),), a.precision)
+    tail = [(e - e0, c / c0) for e, c in a.terms[1:]]
+    d = lcm(*(f.denominator for f, _ in tail))
+    steps = [(f.numerator * (d // f.denominator), t) for f, t in tail]
+    cutoff = a.precision * d
+    reach = {0}
+    frontier = reach
+    while frontier:
+        frontier = {x + k for x in frontier for k, _ in steps if x + k < cutoff} - reach
+        reach |= frontier
+    # alpha = p/q; both sides of the recurrence are scaled by q.
+    p, q = alpha.numerator, alpha.denominator
+    b = {0: _ONE}
+    for e in sorted(reach)[1:]:
+        acc = _ZERO
+        for k, t in steps:
+            prev = b.get(e - k)
+            if prev is not None:
+                acc += ((p + q) * k - q * e) * t * prev
+        b[e] = acc / (q * e)
+    shifted = {Fraction(e, d) + shift: lead * c for e, c in b.items()}
+    return _build(shifted, a.precision)
 
 
 def inverse(a: LCNumber) -> LCNumber:
-    """Multiplicative inverse, expanded to the precision window.
-
-    Factors the leading monomial and sums the geometric series of the
-    unit part; terminates because each pass raises the minimum exponent
-    of the running term by the tail's positive leading exponent.
-    """
+    """Multiplicative inverse: the power series of ``a ** -1`` to the window."""
     if not a.terms:
         raise DivisionByZero("cannot invert zero")
-    cutoff = Fraction(a.precision)
-    e0, c0 = a.terms[0]
-    neg_tail = {e - e0: -(c / c0) for e, c in a.terms[1:]}
-    acc: dict[Fraction, Fraction] = {_ZERO: _ONE}
-    term: dict[Fraction, Fraction] = {_ZERO: _ONE}
-    while term:
-        term = _trunc_mul(term, neg_tail, cutoff)
-        for e, c in term.items():
-            acc[e] = acc.get(e, _ZERO) + c
-    return _build({e - e0: c / c0 for e, c in acc.items()}, a.precision)
+    return _series_power(a, _MINUS_ONE, 1 / a.terms[0][1])
 
 
 def power(a: LCNumber, n: int) -> LCNumber:
@@ -477,33 +488,21 @@ def _rational_sqrt(c: Fraction) -> Fraction:
 
 
 def sqrt(a: LCNumber) -> LCNumber:
-    """Square root via the binomial series on the unit part.
+    """Square root, expanded to the precision window.
 
     The leading exponent halves (exponents are rational, so this is
     always representable); the leading coefficient must be a nonnegative
-    perfect rational square.  ``sqrt(0)`` is exactly zero.
+    perfect rational square.  The rest follows from the power-series
+    recurrence with exponent 1/2.  ``sqrt(0)`` is exactly zero.
     """
     if not a.terms:
         return LCNumber((), a.precision)
-    e0, c0 = a.terms[0]
+    c0 = a.terms[0][1]
     if c0 < 0:
         raise NegativeLeadingCoefficient(
             f"square root of a series with negative leading coefficient {c0}"
         )
-    root = _rational_sqrt(c0)
-    cutoff = Fraction(a.precision)
-    tail = {e - e0: c / c0 for e, c in a.terms[1:]}
-    acc: dict[Fraction, Fraction] = {_ZERO: _ONE}
-    term: dict[Fraction, Fraction] = {_ZERO: _ONE}
-    binom = _ONE
-    k = 0
-    while term:
-        term = _trunc_mul(term, tail, cutoff)
-        k += 1
-        binom *= Fraction(3 - 2 * k, 2 * k)  # C(1/2, k) from C(1/2, k-1)
-        for e, c in term.items():
-            acc[e] = acc.get(e, _ZERO) + binom * c
-    return _build({e + e0 / 2: root * c for e, c in acc.items()}, a.precision)
+    return _series_power(a, _HALF, _rational_sqrt(c0))
 
 
 # -- order, classification, shadow --------------------------------------

@@ -90,9 +90,12 @@ def test_rational_exponents_are_first_class():
 # -- frozen reciprocal examples ------------------------------------------------
 
 
-def test_inverse_of_one_minus_eps_is_the_geometric_series():
-    a = sub(make_real(1), eps())
-    expected = LCNumber.from_terms([(k, 1) for k in range(16)])
+@pytest.mark.parametrize("precision", [4, 16, 64])
+def test_inverse_of_one_minus_eps_is_the_geometric_series(precision):
+    # A genuinely infinite series keeps exactly one term per unit of
+    # precision.
+    a = sub(make_real(1, precision), eps(precision))
+    expected = LCNumber.from_terms([(k, 1) for k in range(precision)], precision)
     assert inverse(a) == expected
 
 
@@ -110,6 +113,15 @@ def test_inverse_with_infinite_lead_and_gap():
 def test_inverse_of_zero_raises():
     with pytest.raises(DivisionByZero):
         inverse(make_real(0))
+
+
+def test_long_inverse_with_incommensurate_tail_exponents():
+    # Exponents i/4 + j/3 below the window: 765 distinct values at T = 64.
+    a = LCNumber.from_terms([(0, 1), (F(1, 4), 1), (F(1, 3), -2)], precision=64)
+    b = inverse(a)
+    assert len(b.terms) == 765
+    assert mul(a, b) == make_real(1)
+    assert power(a, -1) == b
 
 
 @given(nonzero_lc_numbers())
@@ -133,6 +145,13 @@ def test_sqrt_of_four_plus_eps_prefix():
     assert s.coefficient(3) == F(1, 512)
     assert s.coefficient(4) == F(-5, 16384)
     assert mul(s, s) == add(make_real(4), eps())
+
+
+def test_long_sqrt_with_incommensurate_tail_exponents():
+    a = LCNumber.from_terms([(0, 4), (F(1, 4), 1), (F(1, 3), -2)], precision=64)
+    s = sqrt(a)
+    assert len(s.terms) == 765
+    assert mul(s, s) == a
 
 
 def test_sqrt_exact_cases():
