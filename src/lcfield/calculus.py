@@ -51,6 +51,7 @@ from .report import GalleryReport, equality_claim, judged_claim
 
 __all__ = [
     "NotFinite",
+    "InconsistentDiffResult",
     "UnsupportedNode",
     "DiffResult",
     "differential_quotient",
@@ -62,6 +63,11 @@ __all__ = [
 
 class NotFinite(LCError):
     """The differential quotient came out infinite at the point."""
+
+
+class InconsistentDiffResult(LCError):
+    """A ``DiffResult`` whose parts break ``quotient == shadow + discarded``
+    or whose ``discarded`` part is not zero or infinitesimal."""
 
 
 class UnsupportedNode(ValueError):
@@ -85,14 +91,16 @@ class DiffResult:
     discarded: LCNumber
 
     def __post_init__(self):
-        assert classify(self.discarded) in (
+        if classify(self.discarded) not in (
             Classification.ZERO,
             Classification.INFINITESIMAL,
-        ), "discarded part must be zero or infinitesimal"
+        ):
+            raise InconsistentDiffResult("discarded part must be zero or infinitesimal")
         rebuilt = add(
             make_real(self.shadow, self.quotient.precision), self.discarded
         )
-        assert rebuilt == self.quotient, "quotient must equal shadow + discarded"
+        if rebuilt != self.quotient:
+            raise InconsistentDiffResult("quotient must equal shadow + discarded")
 
 
 def differential_quotient(

@@ -10,6 +10,7 @@ Nothing is written to standard error on success.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -95,7 +96,13 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lcfield`` argument parser, built once per process.
+
+    ``parse_args`` leaves the parser unchanged (``--bind`` appends to a
+    fresh copy of its empty default), so one instance serves every call.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "-T",

@@ -19,7 +19,12 @@ order only.
 
 Values are immutable and every operation is a pure function, so values
 may be freely shared across threads.  Floats are rejected everywhere:
-coefficients and exponents are ``fractions.Fraction`` throughout.
+stored coefficients and exponents are ``fractions.Fraction``.  The
+arithmetic itself runs on an integer lattice: ``add``, ``mul`` and the
+power recurrence scale exponents (and, in ``mul``, coefficients) by a
+common denominator, work on ``int``s, and turn only the terms they keep
+back into ``Fraction``s.  Scaling by a common denominator is a bijection
+onto the integers, so no answer differs from plain rational arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import isqrt, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -149,11 +154,13 @@ class LCNumber:
         pairs: Iterable[tuple[RationalLike, RationalLike]],
         precision: int = DEFAULT_PRECISION,
     ) -> "LCNumber":
-        merged: dict[Fraction, Fraction] = {}
-        for exp, coef in pairs:
-            e = _as_fraction(exp)
-            merged[e] = merged.get(e, _ZERO) + _as_fraction(coef)
-        return _build(merged, _check_precision(precision))
+        items = [(_as_fraction(e), _as_fraction(c)) for e, c in pairs]
+        d = lcm(*(e.denominator for e, _ in items))
+        merged: dict[int, Fraction] = {}
+        for e, c in items:
+            n = e.numerator * (d // e.denominator)
+            merged[n] = merged.get(n, _ZERO) + c
+        return _normalize(merged, d, _check_precision(precision))
 
     @property
     def is_zero(self) -> bool:
@@ -314,20 +321,20 @@ def _coerce(value: object, precision: int) -> LCNumber | None:
     return None
 
 
-def _build(
-    merged: Mapping[Fraction, Fraction],
+def _normalize(
+    merged: Mapping[int, Fraction],
+    d: int,
     precision: int,
-    bound: Fraction | None = None,
+    bound: int | None = None,
 ) -> LCNumber:
-    """Normalize a raw exponent -> coefficient map into an LCNumber.
+    """Turn a lattice map ``n -> coefficient of eps^(n/d)`` into an LCNumber.
 
-    ``bound`` is an absolute exponent cutoff: the inputs only vouch for
-    terms below it, so nothing at or above it may be kept or claimed.
+    ``bound`` is an absolute cutoff on the same lattice: the inputs only
+    vouch for terms below it, so nothing at or above it may be kept or
+    claimed.
     """
     nonzero = {
-        e: c
-        for e, c in merged.items()
-        if c != 0 and (bound is None or e < bound)
+        n: c for n, c in merged.items() if c and (bound is None or n < bound)
     }
     if not nonzero:
         return LCNumber((), precision)
@@ -338,10 +345,10 @@ def _build(
         # the lead landed after cancellation.  Integer precision cannot
         # express a fractional remainder; round down, conceding a sliver
         # of known terms rather than overclaiming.
-        precision = max(1, floor(bound - lead))
-    cutoff = lead + precision
-    kept = sorted((e, c) for e, c in nonzero.items() if e < cutoff)
-    return LCNumber(tuple(kept), precision)
+        precision = max(1, (bound - lead) // d)
+    cutoff = lead + precision * d
+    kept = sorted(n for n in nonzero if n < cutoff)
+    return LCNumber(tuple((Fraction(n, d), nonzero[n]) for n in kept), precision)
 
 
 # -- constructors ------------------------------------------------------
@@ -382,12 +389,23 @@ def big_h(precision: int = DEFAULT_PRECISION) -> LCNumber:
 
 
 def add(a: LCNumber, b: LCNumber) -> LCNumber:
+    """Exact sum, claimed only below the nearer of the two windows.
+
+    Exponents are merged as integers over their common denominator ``d``;
+    coefficients stay ``Fraction``.
+    """
     precision = min(a.precision, b.precision)
-    merged: dict[Fraction, Fraction] = dict(a.terms)
+    d = lcm(*(e.denominator for e, _ in a.terms), *(e.denominator for e, _ in b.terms))
+    merged = {e.numerator * (d // e.denominator): c for e, c in a.terms}
     for e, c in b.terms:
-        merged[e] = merged.get(e, _ZERO) + c
-    windows = [w for w in (a.window, b.window) if w is not None]
-    return _build(merged, precision, min(windows) if windows else None)
+        n = e.numerator * (d // e.denominator)
+        merged[n] = merged.get(n, _ZERO) + c
+    windows = [
+        x.terms[0][0].numerator * (d // x.terms[0][0].denominator) + x.precision * d
+        for x in (a, b)
+        if x.terms
+    ]
+    return _normalize(merged, d, precision, min(windows) if windows else None)
 
 
 def neg(a: LCNumber) -> LCNumber:
@@ -399,19 +417,39 @@ def sub(a: LCNumber, b: LCNumber) -> LCNumber:
 
 
 def mul(a: LCNumber, b: LCNumber) -> LCNumber:
+    """Product, truncated to the window of its (never cancelling) lead.
+
+    The convolution runs on integers only: exponents over their common
+    denominator ``d``, coefficients as numerators over each operand's
+    common coefficient denominator, so each output term costs one
+    ``Fraction`` at the end.
+    """
     precision = min(a.precision, b.precision)
     if not a.terms or not b.terms:
         return LCNumber((), precision)
+    d = lcm(*(e.denominator for e, _ in a.terms), *(e.denominator for e, _ in b.terms))
+    qa = lcm(*(c.denominator for _, c in a.terms))
+    qb = lcm(*(c.denominator for _, c in b.terms))
+    left = [
+        (e.numerator * (d // e.denominator), c.numerator * (qa // c.denominator))
+        for e, c in a.terms
+    ]
+    right = [
+        (e.numerator * (d // e.denominator), c.numerator * (qb // c.denominator))
+        for e, c in b.terms
+    ]
     # The leading pair never cancels, so the product's window is known up front.
-    bound = a.terms[0][0] + b.terms[0][0] + precision
-    acc: dict[Fraction, Fraction] = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
-            e = ea + eb
-            if e >= bound:
+    bound = left[0][0] + right[0][0] + precision * d
+    acc: dict[int, int] = {}
+    for ka, na in left:
+        limit = bound - ka
+        for kb, nb in right:
+            if kb >= limit:
                 break  # b's exponents ascend, later pairs only grow
-            acc[e] = acc.get(e, _ZERO) + ca * cb
-    return _build(acc, precision)
+            k = ka + kb
+            acc[k] = acc.get(k, 0) + na * nb
+    q = qa * qb
+    return _normalize({k: Fraction(n, q) for k, n in acc.items()}, d, precision)
 
 
 def _series_power(a: LCNumber, alpha: Fraction, lead: Fraction) -> LCNumber:
@@ -423,16 +461,16 @@ def _series_power(a: LCNumber, alpha: Fraction, lead: Fraction) -> LCNumber:
     exponent.  Hence J.C.P. Miller's recurrence
     ``e·b_e = sum_f ((alpha+1)·f - e)·t_f·b_(e-f)`` fills every exponent the
     tail reaches below the window, in ascending order.  It is homogeneous in
-    the exponents, so it runs on integers over the tail's common denominator
-    ``d``, which hash and compare far faster than ``Fraction``.
+    the exponents, so it runs on integers over a common denominator ``d`` of
+    the exponents and of the result's shift ``alpha·e0``.
     """
     e0, c0 = a.terms[0]
     shift = alpha * e0
     if len(a.terms) == 1:
         return LCNumber(((shift, lead),), a.precision)
-    tail = [(e - e0, c / c0) for e, c in a.terms[1:]]
-    d = lcm(*(f.denominator for f, _ in tail))
-    steps = [(f.numerator * (d // f.denominator), t) for f, t in tail]
+    d = lcm(shift.denominator, *(e.denominator for e, _ in a.terms))
+    n0 = e0.numerator * (d // e0.denominator)
+    steps = [(e.numerator * (d // e.denominator) - n0, c / c0) for e, c in a.terms[1:]]
     cutoff = a.precision * d
     reach = {0}
     frontier = reach
@@ -449,8 +487,8 @@ def _series_power(a: LCNumber, alpha: Fraction, lead: Fraction) -> LCNumber:
             if prev is not None:
                 acc += ((p + q) * k - q * e) * t * prev
         b[e] = acc / (q * e)
-    shifted = {Fraction(e, d) + shift: lead * c for e, c in b.items()}
-    return _build(shifted, a.precision)
+    s = shift.numerator * (d // shift.denominator)
+    return _normalize({e + s: lead * c for e, c in b.items()}, d, a.precision)
 
 
 def inverse(a: LCNumber) -> LCNumber:

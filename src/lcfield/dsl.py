@@ -510,10 +510,16 @@ def evaluate(
     return _eval(expr, env or {}, precision)
 
 
-def _raise_at(err: LCError, pos: int):
+def _mark(err: LCError, pos: int) -> None:
+    """Point ``err`` at ``pos`` unless a deeper node already claimed it.
+
+    Callers re-raise with a bare ``raise``: raising ``err`` from here would
+    tie the traceback to this frame and the frame back to ``err``, a
+    cycle that keeps the evaluation's frames alive until the cyclic
+    collector runs.
+    """
     if err.position is None:
         err.position = pos
-    raise err
 
 
 def _eval(node: Expr, env: Mapping[str, LCNumber], precision: int) -> LCNumber:
@@ -542,26 +548,30 @@ def _eval(node: Expr, env: Mapping[str, LCNumber], precision: int) -> LCNumber:
         try:
             return mul(numerator, inverse(denominator))
         except LCError as err:
-            _raise_at(err, node.pos)
+            _mark(err, node.pos)
+            raise
     if isinstance(node, Pow):
         base = _eval(node.base, env, precision)
         try:
             return power(base, node.exponent)
         except LCError as err:
-            _raise_at(err, node.pos)
+            _mark(err, node.pos)
+            raise
     if isinstance(node, Neg):
         return neg(_eval(node.arg, env, precision))
     if isinstance(node, Sqrt):
         try:
             return sqrt(_eval(node.arg, env, precision))
         except LCError as err:
-            _raise_at(err, node.pos)
+            _mark(err, node.pos)
+            raise
     if isinstance(node, St):
         value = _eval(node.arg, env, precision)
         try:
             return make_real(standard_part(value), precision)
         except LCError as err:
-            _raise_at(err, node.pos)
+            _mark(err, node.pos)
+            raise
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 

@@ -1,10 +1,15 @@
 """Differential quotients, shadows, and the product rule bookkeeping."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, assume, strategies as st
 
+import lcfield
 from lcfield import (
     Classification,
     DivisionByZero,
@@ -17,6 +22,7 @@ from lcfield import (
 )
 from lcfield.calculus import (
     DiffResult,
+    InconsistentDiffResult,
     NotFinite,
     UnsupportedNode,
     derivative_at,
@@ -139,12 +145,32 @@ def test_derivative_propagates_evaluation_errors():
 
 
 def test_diff_result_rejects_mismatched_parts():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InconsistentDiffResult):
         DiffResult(
             quotient=make_real(1), shadow=F(2), discarded=make_real(0) * 0
         )
-    with pytest.raises(AssertionError):
+    with pytest.raises(InconsistentDiffResult):
         DiffResult(quotient=make_real(2), shadow=F(1), discarded=make_real(1))
+
+
+def test_diff_result_checks_hold_under_optimized_python():
+    script = (
+        "from lcfield import DiffResult, InconsistentDiffResult, make_real\n"
+        "try:\n"
+        "    DiffResult(quotient=make_real(1), shadow=5, discarded=make_real(0))\n"
+        "except InconsistentDiffResult:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(lcfield.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # -- quotient shadow against the symbolic oracle ------------------------

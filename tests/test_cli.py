@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+
+import lcfield
 
 from lcfield.cli import (
     CliConfig,
@@ -163,6 +169,15 @@ def test_eval_binding_may_use_units(capsys):
     assert out.splitlines()[0] == "3 (appreciable)"
 
 
+def test_bindings_do_not_leak_into_the_next_call(capsys):
+    code, out, _ = invoke(capsys, "eval", "-b", "y=2", "y + 1")
+    assert code == 0
+    assert out.startswith("3 ")
+    code, _, err = invoke(capsys, "eval", "y + 1")
+    assert code == 3
+    assert "'y'" in err
+
+
 def test_eval_forward_binding_reference_fails(capsys):
     code, out, err = invoke(capsys, "eval", "-b", "a=b+1", "-b", "b=2", "a")
     assert code == 3
@@ -235,6 +250,21 @@ def test_diff_with_bound_environment(capsys):
     )
     assert code == 0
     assert "shadow: 12" in out.splitlines()
+
+
+@pytest.mark.parametrize("precision", ["16", "64"])
+def test_diff_with_an_irrational_exponent_binding_has_no_traceback(precision):
+    src = str(Path(lcfield.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "lcfield.cli", "diff", "1/(x^2+1) + y*x", "x", "2",
+         "-b", "y=3 + sqrt(eps)", "-T", precision],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode in (0, 3)
+    assert "Traceback" not in done.stderr
 
 
 def test_diff_invalid_point_is_a_usage_error(capsys):

@@ -7,9 +7,10 @@ recurrence c_k = c_{k-1} * (3 - 2k) / (2k).
 """
 
 from fractions import Fraction
+from math import floor, isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from lcfield import (
     Classification,
@@ -187,6 +188,138 @@ def test_sqrt_of_a_square_recovers_the_positive_root(b):
     root = sqrt(mul(b, b))
     expected = b if b.leading_coefficient > 0 else neg(b)
     assert root == expected
+
+
+# -- kernel parity with a plain Fraction-keyed reference -----------------------
+#
+# The kernel computes on integer exponents and coefficient numerators; the
+# reference below keys everything by Fraction, multiplies schoolbook-style
+# and expands powers with the binomial series, then applies the same window
+# rules.
+
+
+def _reference_window(merged, precision, bound=None):
+    nonzero = {
+        e: c for e, c in merged.items() if c != 0 and (bound is None or e < bound)
+    }
+    if not nonzero:
+        return (), precision
+    lead = min(nonzero)
+    if bound is not None:
+        precision = max(1, floor(bound - lead))
+    return tuple(sorted((e, c) for e, c in nonzero.items() if e < lead + precision)), precision
+
+
+def _reference_add(a, b):
+    merged = {}
+    for e, c in a.terms + b.terms:
+        merged[e] = merged.get(e, 0) + c
+    windows = [x.terms[0][0] + x.precision for x in (a, b) if x.terms]
+    bound = min(windows) if windows else None
+    return _reference_window(merged, min(a.precision, b.precision), bound)
+
+
+def _reference_mul(a, b):
+    merged = {}
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            merged[ea + eb] = merged.get(ea + eb, 0) + ca * cb
+    return _reference_window(merged, min(a.precision, b.precision))
+
+
+def _reference_power(a, alpha, lead):
+    """``a ** alpha`` as ``lead·eps^(alpha·e0)·sum_k binom(alpha, k)·t^k``."""
+    (e0, c0), precision = a.terms[0], a.precision
+    t = {e - e0: c / c0 for e, c in a.terms[1:]}
+    total, term, k = {F(0): F(1)}, {F(0): F(1)}, 0
+    while term:
+        k += 1
+        product = {}
+        for e1, c1 in term.items():
+            for e2, c2 in t.items():
+                if e1 + e2 < precision:
+                    product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+        term = {e: c * (alpha - k + 1) / k for e, c in product.items()}
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    merged = {alpha * e0 + e: lead * c for e, c in total.items()}
+    return _reference_window(merged, precision)
+
+
+parity_exponents = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+parity_precisions = st.integers(min_value=1, max_value=8)
+
+
+def parity_pairs(min_size=0):
+    return st.lists(st.tuples(parity_exponents, rationals), min_size=min_size, max_size=5)
+
+
+@st.composite
+def parity_operands(draw, min_terms=0):
+    return LCNumber.from_terms(draw(parity_pairs(min_terms)), draw(parity_precisions))
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """``(a, b)`` where ``b`` cancels all of ``a`` or a prefix of it."""
+    a = draw(parity_operands(min_terms=1))
+    keep = draw(st.integers(min_value=0, max_value=len(a.terms)))
+    extra = draw(parity_operands())
+    b = LCNumber.from_terms(
+        [(e, -c) for e, c in a.terms[:keep]] + list(extra.terms),
+        draw(parity_precisions),
+    )
+    return a, b
+
+
+@st.composite
+def power_operands(draw, square_lead=False):
+    """Nonzero series whose tail sits at least 1/2 above the lead, so the
+    reference's binomial series stays short."""
+    e0, c0 = draw(parity_exponents), draw(nonzero_rationals)
+    if square_lead:
+        c0 = c0 * c0
+    offsets = st.fractions(min_value=F(1, 2), max_value=4, max_denominator=12)
+    tail = draw(st.lists(st.tuples(offsets, nonzero_rationals), max_size=3))
+    precision = draw(st.integers(min_value=1, max_value=5))
+    return LCNumber.from_terms([(e0, c0)] + [(e0 + f, c) for f, c in tail], precision)
+
+
+def _result(value):
+    return value.terms, value.precision
+
+
+@given(parity_pairs(), parity_precisions)
+def test_from_terms_matches_the_fraction_keyed_reference(pairs, precision):
+    merged = {}
+    for e, c in pairs:
+        merged[e] = merged.get(e, 0) + c
+    assert _result(LCNumber.from_terms(pairs, precision)) == _reference_window(merged, precision)
+
+
+@given(st.one_of(st.tuples(parity_operands(), parity_operands()), cancelling_pairs()))
+def test_add_matches_the_fraction_keyed_reference(pair):
+    a, b = pair
+    assert _result(add(a, b)) == _reference_add(a, b)
+    assert _result(sub(a, b)) == _reference_add(a, neg(b))
+
+
+@given(parity_operands(), parity_operands())
+def test_mul_matches_the_fraction_keyed_reference(a, b):
+    assert _result(mul(a, b)) == _reference_mul(a, b)
+
+
+@given(power_operands())
+def test_inverse_matches_the_binomial_reference(a):
+    lead = 1 / a.leading_coefficient
+    assert _result(inverse(a)) == _reference_power(a, F(-1), lead)
+
+
+@given(power_operands(square_lead=True))
+def test_sqrt_matches_the_binomial_reference(a):
+    c0 = a.leading_coefficient
+    lead = F(isqrt(c0.numerator), isqrt(c0.denominator))
+    assert _result(sqrt(a)) == _reference_power(a, F(1, 2), lead)
 
 
 # -- field laws (exact inside the generator's window) ---------------------------

@@ -1,5 +1,7 @@
 """Expression language: lexer, parser, printer, evaluator, canonicalizer."""
 
+import gc
+import types
 from fractions import Fraction
 
 import pytest
@@ -240,6 +242,29 @@ def test_division_by_zero_carries_the_operator_position():
     with pytest.raises(DivisionByZero) as info:
         evaluate(parse_text("1/(x-x)"), {"x": make_real(1)})
     assert info.value.position == 1
+
+
+def test_a_caught_evaluation_error_leaves_no_frame_cycles():
+    expr = parse_text("2 + 3*(1/(x-x))")
+    gc.collect()
+    flags, saved = gc.get_debug(), gc.garbage[:]
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        try:
+            evaluate(expr, {"x": make_real(1)})
+        except DivisionByZero:
+            pass
+        gc.collect()
+        frames = [
+            obj
+            for obj in gc.garbage
+            if isinstance(obj, types.FrameType)
+            and obj.f_globals.get("__name__") == "lcfield.dsl"
+        ]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+    assert frames == []
 
 
 def test_standard_part_of_infinite_value_raises():
