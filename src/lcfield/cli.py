@@ -14,7 +14,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, TextIO
 
@@ -30,9 +29,11 @@ from .core import (
 from .dsl import (
     Expr,
     LexError,
+    NonRationalNode,
     ParseError,
     RESERVED_WORDS,
     TransferReport,
+    _ensure_rational,
     evaluate,
     identities_transfer_check,
     parse_text,
@@ -47,7 +48,6 @@ from .gallery import (
 from .report import GalleryReport
 
 __all__ = [
-    "CliConfig",
     "load_corpus",
     "main",
     "run",
@@ -61,14 +61,6 @@ GALLERY_IDS = (
 )
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    precision: int = DEFAULT_PRECISION
-    format: str = "text"
-    seed: int = 0
-    bindings: tuple[str, ...] = field(default_factory=tuple)
 
 
 class UsageError(ValueError):
@@ -217,22 +209,22 @@ def _diff_json(result: DiffResult) -> dict:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_eval(args, config: CliConfig, out: TextIO) -> int:
-    env = evaluate_bindings(parse_bindings(config.bindings), config.precision)
-    value = evaluate(parse_text(args.expr), env, config.precision)
-    if config.format == "json":
+def cmd_eval(args, out: TextIO) -> int:
+    env = evaluate_bindings(parse_bindings(args.bind), args.precision)
+    value = evaluate(parse_text(args.expr), env, args.precision)
+    if args.format == "json":
         print(json.dumps(value.to_json()), file=out)
     else:
         _render_value_text(value, out)
     return 0
 
 
-def cmd_diff(args, config: CliConfig, out: TextIO) -> int:
-    env = evaluate_bindings(parse_bindings(config.bindings), config.precision)
+def cmd_diff(args, out: TextIO) -> int:
+    env = evaluate_bindings(parse_bindings(args.bind), args.precision)
     result = derivative_at(
-        parse_text(args.expr), args.var, args.point, env, config.precision
+        parse_text(args.expr), args.var, args.point, env, args.precision
     )
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(_diff_json(result)), file=out)
     else:
         print(f"quotient: {result.quotient.render()}", file=out)
@@ -241,35 +233,33 @@ def cmd_diff(args, config: CliConfig, out: TextIO) -> int:
     return 0
 
 
-def _gallery_report(args, config: CliConfig) -> GalleryReport:
+def _gallery_report(args) -> GalleryReport:
     if args.example_id == "parallel_lines":
-        return parallel_lines_report(precision=config.precision)
+        return parallel_lines_report(precision=args.precision)
     if args.example_id == "infinitesimal_equality":
-        return infinitesimal_equality_report(precision=config.precision)
+        return infinitesimal_equality_report(precision=args.precision)
     if args.example_id == "ellipse_parabola":
-        report = ellipse_parabola_report(precision=config.precision)
+        report = ellipse_parabola_report(precision=args.precision)
         if args.csv:
-            write_parabola_csv(args.csv, precision=config.precision)
+            write_parabola_csv(args.csv, precision=args.precision)
         return report
     return product_rule_report(
         parse_text("x"),
         parse_text("x^2"),
         "x",
         1,
-        precision=config.precision,
+        precision=args.precision,
     )
 
 
-def cmd_gallery(args, config: CliConfig, out: TextIO) -> int:
+def cmd_gallery(args, out: TextIO) -> int:
     if args.csv and args.example_id != "ellipse_parabola":
         raise UsageError("--csv applies only to ellipse_parabola")
     try:
-        report = _gallery_report(args, config)
+        report = _gallery_report(args)
     except ChainBroken as exc:
-        if exc.report is None:
-            raise
         report = exc.report
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(report.to_json()), file=out)
     else:
         print(report.render_text(), file=out)
@@ -303,14 +293,17 @@ def load_corpus(path: str) -> list[tuple[int, str, str]]:
 def _parse_corpus(
     entries: list[tuple[int, str, str]], err: TextIO
 ) -> list[tuple[int, str, str, Expr, Expr]] | None:
-    """Parse every side, reporting all failures before giving up."""
+    """Parse every side and require it to be rational, reporting all
+    failures before giving up."""
     parsed = []
     bad = False
     for number, lhs_text, rhs_text in entries:
         try:
             lhs = parse_text(lhs_text)
             rhs = parse_text(rhs_text)
-        except (LexError, ParseError) as exc:
+            _ensure_rational(lhs)
+            _ensure_rational(rhs)
+        except (LexError, ParseError, NonRationalNode) as exc:
             print(f"line {number}: {exc}", file=err)
             bad = True
             continue
@@ -329,7 +322,7 @@ def _counterexample_text(report: TransferReport) -> str:
     )
 
 
-def cmd_transfer(args, config: CliConfig, out: TextIO, err: TextIO) -> int:
+def cmd_transfer(args, out: TextIO, err: TextIO) -> int:
     try:
         entries = load_corpus(args.file)
     except (UsageError, OSError) as exc:
@@ -342,13 +335,13 @@ def cmd_transfer(args, config: CliConfig, out: TextIO, err: TextIO) -> int:
     results = []
     for number, lhs_text, rhs_text, lhs, rhs in parsed:
         report = identities_transfer_check(
-            lhs, rhs, seed=config.seed, precision=config.precision
+            lhs, rhs, seed=args.seed, precision=args.precision
         )
         results.append((number, lhs_text, rhs_text, report))
 
     held = sum(1 for *_rest, r in results if r.identity)
     failed = len(results) - held
-    if config.format == "json":
+    if args.format == "json":
         payload = [
             {
                 "line": number,
@@ -374,12 +367,12 @@ def cmd_transfer(args, config: CliConfig, out: TextIO, err: TextIO) -> int:
 _BIND_LINE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9_]*)\s*=(?!=)\s*(.*)$")
 
 
-def cmd_repl(args, config: CliConfig, out: TextIO, err: TextIO) -> int:
+def cmd_repl(args, out: TextIO, err: TextIO) -> int:
     try:
         import readline  # noqa: F401  (line editing when the host provides it)
     except ImportError:
         pass
-    env = evaluate_bindings(parse_bindings(config.bindings), config.precision)
+    env = evaluate_bindings(parse_bindings(args.bind), args.precision)
     prompt = "lc> " if sys.stdin.isatty() else ""
     while True:
         try:
@@ -395,10 +388,10 @@ def cmd_repl(args, config: CliConfig, out: TextIO, err: TextIO) -> int:
             match = _BIND_LINE.match(line)
             if match and match.group(1) not in RESERVED_WORDS:
                 name, expr_text = match.group(1), match.group(2)
-                value = evaluate(parse_text(expr_text), env, config.precision)
+                value = evaluate(parse_text(expr_text), env, args.precision)
                 env[name] = value
             else:
-                value = evaluate(parse_text(line), env, config.precision)
+                value = evaluate(parse_text(line), env, args.precision)
             _render_value_text(value, out)
         except (LexError, ParseError, LCError, UsageError) as exc:
             print(f"error: {exc}", file=err)
@@ -411,23 +404,17 @@ def cmd_repl(args, config: CliConfig, out: TextIO, err: TextIO) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = CliConfig(
-        precision=args.precision,
-        format=args.format,
-        seed=args.seed,
-        bindings=tuple(args.bind),
-    )
     out, err = sys.stdout, sys.stderr
     try:
         if args.command == "eval":
-            return cmd_eval(args, config, out)
+            return cmd_eval(args, out)
         if args.command == "diff":
-            return cmd_diff(args, config, out)
+            return cmd_diff(args, out)
         if args.command == "gallery":
-            return cmd_gallery(args, config, out)
+            return cmd_gallery(args, out)
         if args.command == "transfer":
-            return cmd_transfer(args, config, out, err)
-        return cmd_repl(args, config, out, err)
+            return cmd_transfer(args, out, err)
+        return cmd_repl(args, out, err)
     except (LexError, ParseError, UsageError) as exc:
         print(f"error: {exc}", file=err)
         return 2

@@ -267,50 +267,42 @@ class LCNumber:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        coerced = _coerce(other, self.precision)
-        if coerced is None:
-            return NotImplemented
-        return add(self, coerced)
+        return self._apply(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        coerced = _coerce(other, self.precision)
-        if coerced is None:
-            return NotImplemented
-        return sub(self, coerced)
+        return self._apply(other, sub)
 
     def __rsub__(self, other):
-        coerced = _coerce(other, self.precision)
-        if coerced is None:
-            return NotImplemented
-        return sub(coerced, self)
+        return self._apply(other, sub, reflected=True)
 
     def __neg__(self):
         return neg(self)
 
     def __mul__(self, other):
-        coerced = _coerce(other, self.precision)
-        if coerced is None:
-            return NotImplemented
-        return mul(self, coerced)
+        return self._apply(other, mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        coerced = _coerce(other, self.precision)
-        if coerced is None:
-            return NotImplemented
-        return mul(self, inverse(coerced))
+        return self._apply(other, _div)
 
     def __rtruediv__(self, other):
+        return self._apply(other, _div, reflected=True)
+
+    def _apply(self, other, op, reflected: bool = False):
         coerced = _coerce(other, self.precision)
         if coerced is None:
             return NotImplemented
-        return mul(coerced, inverse(self))
+        return op(coerced, self) if reflected else op(self, coerced)
 
     def __pow__(self, exponent: int):
         return power(self, exponent)
+
+
+def _div(a: LCNumber, b: LCNumber) -> LCNumber:
+    return mul(a, inverse(b))
 
 
 def _coerce(value: object, precision: int) -> LCNumber | None:

@@ -523,55 +523,42 @@ def _mark(err: LCError, pos: int) -> None:
 
 
 def _eval(node: Expr, env: Mapping[str, LCNumber], precision: int) -> LCNumber:
-    if isinstance(node, Const):
-        return make_real(node.value, precision)
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariable(
-                f"unbound variable {node.name!r}", node.pos
-            ) from None
-    if isinstance(node, Eps):
-        return make_monomial(1, 1, precision)
-    if isinstance(node, HUnit):
-        return make_monomial(1, -1, precision)
-    if isinstance(node, Add):
-        return add(_eval(node.left, env, precision), _eval(node.right, env, precision))
-    if isinstance(node, Sub):
-        return sub(_eval(node.left, env, precision), _eval(node.right, env, precision))
-    if isinstance(node, Mul):
-        return mul(_eval(node.left, env, precision), _eval(node.right, env, precision))
-    if isinstance(node, Div):
-        numerator = _eval(node.left, env, precision)
-        denominator = _eval(node.right, env, precision)
-        try:
-            return mul(numerator, inverse(denominator))
-        except LCError as err:
-            _mark(err, node.pos)
-            raise
-    if isinstance(node, Pow):
-        base = _eval(node.base, env, precision)
-        try:
-            return power(base, node.exponent)
-        except LCError as err:
-            _mark(err, node.pos)
-            raise
-    if isinstance(node, Neg):
-        return neg(_eval(node.arg, env, precision))
-    if isinstance(node, Sqrt):
-        try:
+    try:
+        if isinstance(node, Const):
+            return make_real(node.value, precision)
+        if isinstance(node, Var):
+            try:
+                return env[node.name]
+            except KeyError:
+                raise UnboundVariable(
+                    f"unbound variable {node.name!r}", node.pos
+                ) from None
+        if isinstance(node, Eps):
+            return make_monomial(1, 1, precision)
+        if isinstance(node, HUnit):
+            return make_monomial(1, -1, precision)
+        if isinstance(node, Add):
+            return add(_eval(node.left, env, precision), _eval(node.right, env, precision))
+        if isinstance(node, Sub):
+            return sub(_eval(node.left, env, precision), _eval(node.right, env, precision))
+        if isinstance(node, Mul):
+            return mul(_eval(node.left, env, precision), _eval(node.right, env, precision))
+        if isinstance(node, Div):
+            numerator = _eval(node.left, env, precision)
+            return mul(numerator, inverse(_eval(node.right, env, precision)))
+        if isinstance(node, Pow):
+            return power(_eval(node.base, env, precision), node.exponent)
+        if isinstance(node, Neg):
+            return neg(_eval(node.arg, env, precision))
+        if isinstance(node, Sqrt):
             return sqrt(_eval(node.arg, env, precision))
-        except LCError as err:
-            _mark(err, node.pos)
-            raise
-    if isinstance(node, St):
-        value = _eval(node.arg, env, precision)
-        try:
-            return make_real(standard_part(value), precision)
-        except LCError as err:
-            _mark(err, node.pos)
-            raise
+        if isinstance(node, St):
+            return make_real(standard_part(_eval(node.arg, env, precision)), precision)
+    except LCError as err:
+        # Only Var, Div, Pow, Sqrt and St nodes raise; the deepest one
+        # marks the error first and _mark keeps that position.
+        _mark(err, node.pos)
+        raise
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
@@ -715,24 +702,30 @@ def _draw_finite(rng: random.Random, precision: int) -> LCNumber:
 def _draw_mixed(rng: random.Random, precision: int) -> LCNumber:
     kind = rng.randrange(4)
     if kind == 0:
-        return make_real(_draw_small_rational(rng), precision)
+        return _draw_finite(rng, precision)
     if kind == 1:
         return make_monomial(_draw_nonzero_rational(rng), 1, precision)
     if kind == 2:
         return make_monomial(_draw_nonzero_rational(rng), -1, precision)
     return add(
-        make_real(_draw_small_rational(rng), precision),
+        _draw_finite(rng, precision),
         make_monomial(_draw_nonzero_rational(rng), 1, precision),
     )
+
+
+def _both_sides(e1, e2, point, precision):
+    """``(lhs, rhs)`` at ``point``, or ``None`` where a denominator vanishes."""
+    try:
+        return evaluate(e1, point, precision), evaluate(e2, point, precision)
+    except DivisionByZero:
+        return None
 
 
 def _sample_once(e1, e2, names, draw, rng, precision):
     for _ in range(_RESAMPLE_CAP):
         point = {name: draw(rng, precision) for name in names}
-        try:
-            left = evaluate(e1, point, precision)
-            right = evaluate(e2, point, precision)
-        except DivisionByZero:
+        sides = _both_sides(e1, e2, point, precision)
+        if sides is None:
             continue
         # Agreement in the guaranteed-order sense: equal on every term
         # below both windows.  Cancellation can truncate the two sides'
@@ -740,7 +733,7 @@ def _sample_once(e1, e2, names, draw, rng, precision):
         # equality would be the wrong judgment here.
         return {
             "point": {name: value.render() for name, value in point.items()},
-            "agree": agrees_to_guaranteed_order(left, right),
+            "agree": agrees_to_guaranteed_order(*sides),
         }
     return {"point": None, "agree": None}
 
@@ -755,16 +748,12 @@ _WITNESS_CANDIDATES = (
 def _find_counterexample(e1, e2, names, precision):
     for values in itertools.product(_WITNESS_CANDIDATES, repeat=len(names)):
         point = {n: make_real(v, precision) for n, v in zip(names, values)}
-        try:
-            left = evaluate(e1, point, precision)
-            right = evaluate(e2, point, precision)
-        except DivisionByZero:
-            continue
-        if not agrees_to_guaranteed_order(left, right):
+        sides = _both_sides(e1, e2, point, precision)
+        if sides is not None and not agrees_to_guaranteed_order(*sides):
             return {
                 "point": {n: str(v) for n, v in zip(names, values)},
-                "lhs": left.render(),
-                "rhs": right.render(),
+                "lhs": sides[0].render(),
+                "rhs": sides[1].render(),
             }
     return None  # pragma: no cover - the witness grid covers tested degrees
 

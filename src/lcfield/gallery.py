@@ -36,9 +36,9 @@ from .core import (
     sub,
     tlh_reduce,
 )
-from .dsl import canonicalize, evaluate, parse_text
-from .poly import RationalForm
+from .dsl import Expr, canonicalize, evaluate, parse_text
 from .report import (
+    Claim,
     GalleryReport,
     equality_claim,
     judged_claim,
@@ -67,10 +67,21 @@ class ChainBroken(RuntimeError):
     Carries the claims gathered so far so a caller can still show what
     held before the break."""
 
-    def __init__(self, step: str, report: GalleryReport | None = None):
+    def __init__(self, step: str, report: GalleryReport):
         super().__init__(f"chain broken at: {step}")
         self.step = step
         self.report = report
+
+
+def _truth_claim(description: str, holds: bool) -> Claim:
+    return judged_claim(description, holds, "true", holds)
+
+
+def _class_claim(
+    description: str, value: LCNumber, expected: Classification
+) -> Claim:
+    kind = classify(value)
+    return judged_claim(description, kind, expected.value, kind is expected)
 
 
 DEFAULT_GRID: tuple[Fraction, ...] = tuple(Fraction(k) for k in range(-3, 4))
@@ -103,12 +114,7 @@ def parallel_lines_report(
     slope = sub(height(one), height(make_real(0, precision)))
     claims = [
         equality_claim("slope is the negated infinitesimal unit", slope, neg(e)),
-        judged_claim(
-            "slope classification",
-            classify(slope),
-            "infinitesimal",
-            classify(slope) is Classification.INFINITESIMAL,
-        ),
+        _class_claim("slope classification", slope, Classification.INFINITESIMAL),
     ]
     for x in xs:
         y = height(make_real(x, precision))
@@ -124,12 +130,7 @@ def parallel_lines_report(
         equality_claim("the line vanishes at x = H", height(h), make_real(0, precision))
     )
     claims.append(
-        judged_claim(
-            "x-intercept classification",
-            classify(h),
-            "infinite",
-            classify(h) is Classification.INFINITE,
-        )
+        _class_claim("x-intercept classification", h, Classification.INFINITE)
     )
     return GalleryReport(
         "parallel_lines", tuple(str(x) for x in xs), tuple(claims)
@@ -146,18 +147,10 @@ def infinitesimal_equality_report(
     base = make_real(2 * x, precision)
     bumped = add(base, eps(precision))
     claims = [
-        judged_claim(
-            "2x + eps is infinitely close to 2x",
-            is_infinitely_close(bumped, base),
-            "true",
-            is_infinitely_close(bumped, base),
+        _truth_claim(
+            "2x + eps is infinitely close to 2x", is_infinitely_close(bumped, base)
         ),
-        judged_claim(
-            "2x + eps differs from 2x as a series",
-            bumped != base,
-            "true",
-            bumped != base,
-        ),
+        _truth_claim("2x + eps differs from 2x as a series", bumped != base),
     ]
     reduced = tlh_reduce(bumped)
     if x != 0:
@@ -176,10 +169,8 @@ def infinitesimal_equality_report(
     for n in (1, 10, 100, 1000, 10**4, 10**5, 10**6):
         scaled = mul(make_real(n, precision), difference)
         claims.append(
-            judged_claim(
+            _truth_claim(
                 f"{n} times the difference stays below 1",
-                scaled < make_real(1, precision),
-                "true",
                 scaled < make_real(1, precision),
             )
         )
@@ -214,10 +205,8 @@ def verify_conic_chain(precision: int = DEFAULT_PRECISION) -> GalleryReport:
 
     rule_ok = canonicalize(square_rule_lhs) == canonicalize(square_rule_rhs)
     claims.append(
-        judged_claim(
+        _truth_claim(
             "squaring a two-term sum expands to squares plus twice the product",
-            rule_ok,
-            "true",
             rule_ok,
         )
     )
@@ -226,12 +215,7 @@ def verify_conic_chain(precision: int = DEFAULT_PRECISION) -> GalleryReport:
 
     moved = canonicalize(squared_sum, variables) == canonicalize(isolated, variables)
     claims.append(
-        judged_claim(
-            "isolating the doubled radical is the same relation",
-            moved,
-            "true",
-            moved,
-        )
+        _truth_claim("isolating the doubled radical is the same relation", moved)
     )
     if not moved:
         raise broken("radical isolation")
@@ -262,7 +246,7 @@ def verify_conic_chain(precision: int = DEFAULT_PRECISION) -> GalleryReport:
             chain_form,
         )
     )
-    if not (target_form * cofactor == chain_form):
+    if not claims[-1].passed:
         raise broken("cofactor reconstruction")
     claims.append(
         judged_claim(
@@ -311,6 +295,11 @@ def _parabola_height(x: Fraction) -> Fraction:
     return x * x / 4 - 1
 
 
+def _plane_value(lhs: Expr, x: Fraction, y: Fraction, precision: int) -> LCNumber:
+    point = {"x": make_real(x, precision), "y": make_real(y, precision)}
+    return evaluate(lhs, point, precision)
+
+
 def parabola_shadow_report(
     xs: Sequence[Fraction] = DEFAULT_GRID, precision: int = DEFAULT_PRECISION
 ) -> GalleryReport:
@@ -322,11 +311,7 @@ def parabola_shadow_report(
     claims = []
     for x in xs:
         y = _parabola_height(x)
-        value = evaluate(
-            lhs,
-            {"x": make_real(x, precision), "y": make_real(y, precision)},
-            precision,
-        )
+        value = _plane_value(lhs, x, y, precision)
         claims.append(
             judged_claim(
                 f"series on the parabola at x = {x}",
@@ -352,11 +337,7 @@ def parabola_shadow_report(
             )
         )
         off = y + 1
-        off_value = evaluate(
-            lhs,
-            {"x": make_real(x, precision), "y": make_real(off, precision)},
-            precision,
-        )
+        off_value = _plane_value(lhs, x, off, precision)
         claims.append(
             judged_claim(
                 f"off the parabola at x = {x} the shadow is nonzero",
@@ -378,11 +359,7 @@ def parabola_rows(
     rows = []
     for x in xs:
         y = _parabola_height(x)
-        value = evaluate(
-            lhs,
-            {"x": make_real(x, precision), "y": make_real(y, precision)},
-            precision,
-        )
+        value = _plane_value(lhs, x, y, precision)
         rows.append((x, y, standard_part(value)))
     return rows
 

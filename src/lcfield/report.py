@@ -24,9 +24,7 @@ __all__ = [
 
 
 def format_value(value: object) -> str:
-    if isinstance(value, LCNumber):
-        return value.render()
-    if isinstance(value, (Polynomial, RationalForm)):
+    if isinstance(value, (LCNumber, Polynomial, RationalForm)):
         return value.render()
     if isinstance(value, Classification):
         return value.value

@@ -13,8 +13,8 @@ import pytest
 import lcfield
 
 from lcfield.cli import (
-    CliConfig,
     UsageError,
+    build_parser,
     load_corpus,
     main,
     parse_bindings,
@@ -397,6 +397,18 @@ def test_transfer_reports_every_parse_error(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_transfer_reports_every_non_rational_line(capsys, tmp_path, fmt):
+    path = corpus(tmp_path, "x == x\nsqrt(x^2) == x\n1 == 1\nx == st(x)\n")
+    code, out, err = invoke(capsys, "transfer", "--format", fmt, path)
+    assert code == 2
+    assert err == (
+        "line 2: sqrt is not a rational operation\n"
+        "line 4: st is not a rational operation\n"
+    )
+    assert out == ""
+
+
 def test_transfer_missing_file_exits_two(capsys):
     code, _, err = invoke(capsys, "transfer", "/no/such/corpus.txt")
     assert code == 2
@@ -502,12 +514,12 @@ def test_run_raises_system_exit(monkeypatch, capsys):
     assert info.value.code == 0
 
 
-def test_config_defaults():
-    config = CliConfig()
-    assert config.precision == 16
-    assert config.format == "text"
-    assert config.seed == 0
-    assert config.bindings == ()
+def test_parser_defaults():
+    args = build_parser().parse_args(["eval", "1"])
+    assert args.precision == 16
+    assert args.format == "text"
+    assert args.seed == 0
+    assert args.bind == []
 
 
 def test_parse_bindings_returns_named_trees():

@@ -11,6 +11,8 @@ from lcfield import (
     DivisionByZero,
     InfiniteOperand,
     LCNumber,
+    NegativeLeadingCoefficient,
+    NonSquareLeadingCoefficient,
     add,
     big_h,
     eps,
@@ -238,10 +240,30 @@ def test_unbound_variable_reports_name_and_position():
     assert info.value.position == 2
 
 
-def test_division_by_zero_carries_the_operator_position():
-    with pytest.raises(DivisionByZero) as info:
-        evaluate(parse_text("1/(x-x)"), {"x": make_real(1)})
-    assert info.value.position == 1
+@pytest.mark.parametrize(
+    "source, error, position",
+    [
+        ("1/(x-x)", DivisionByZero, 1),
+        ("2 + (x - x)^-1", DivisionByZero, 11),
+        ("1 + sqrt(x - 2)", NegativeLeadingCoefficient, 4),
+        ("3*sqrt(2)", NonSquareLeadingCoefficient, 2),
+        ("1 + st(H)", InfiniteOperand, 4),
+        # the inner operator is the one that divides by zero
+        ("1/(1/(x - x))", DivisionByZero, 4),
+    ],
+    ids=[
+        "div",
+        "negative_power",
+        "sqrt_negative",
+        "sqrt_nonsquare",
+        "st_infinite",
+        "nested_div",
+    ],
+)
+def test_division_by_zero_carries_the_operator_position(source, error, position):
+    with pytest.raises(error) as info:
+        evaluate(parse_text(source), {"x": make_real(1)})
+    assert info.value.position == position
 
 
 def test_a_caught_evaluation_error_leaves_no_frame_cycles():

@@ -91,6 +91,43 @@ def test_inassignable_samples_mix_strata():
     assert any("eps" in text and "eps^-1" not in text for text in rendered)
 
 
+def test_sampler_draw_order_is_pinned():
+    report = check("x + 0", "x", trials=4, seed=0)
+    assert [r["point"]["x"] for r in report.finite_samples] == [
+        "3/7",
+        "-8/5",
+        "7/8",
+        "3/5",
+    ]
+    assert [r["point"]["x"] for r in report.infinite_samples] == [
+        "1/2 + 3·eps",
+        "-1/9",
+        "-5/2·eps",
+        "8/9·eps^-1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, witness",
+    [
+        (
+            "x*y*(x - 1)",
+            "0",
+            {"point": {"x": "-1", "y": "1"}, "lhs": "2", "rhs": "0"},
+        ),
+        # every grid point with x = 0 is a pole and is skipped
+        (
+            "1/x + y",
+            "y + 1/x + x*(x-1)*(x+1)*y",
+            {"point": {"x": "2", "y": "1"}, "lhs": "3/2", "rhs": "15/2"},
+        ),
+    ],
+    ids=["vanishing_product", "pole_skipped"],
+)
+def test_witness_grid_order_is_pinned(lhs, rhs, witness):
+    assert check(lhs, rhs).counterexample == witness
+
+
 def test_non_rational_expressions_are_rejected():
     with pytest.raises(NonRationalNode):
         check("sqrt(x)", "x")
