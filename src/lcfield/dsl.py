@@ -27,7 +27,6 @@ holding in the extended one".
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,6 +71,7 @@ __all__ = [
     "St",
     "Neg",
     "RESERVED_WORDS",
+    "MAX_DEPTH",
     "tokenize",
     "parse",
     "parse_text",
@@ -86,6 +86,13 @@ __all__ = [
 ]
 
 RESERVED_WORDS = frozenset({"eps", "H", "sqrt", "st"})
+
+# The parser, evaluator, printer and canonicalizer recurse once per level,
+# so the parser rejects parentheses or unary minus signs nested more than
+# this deep, and trees more than this many nodes deep (a flat sum of n
+# terms is n deep): that stays well inside Python's default recursion
+# limit of 1000 frames, a parenthesis level costing the parser six.
+MAX_DEPTH = 100
 
 _SINGLE_CHAR_TOKENS = {
     "+": "plus",
@@ -257,11 +264,38 @@ class Neg(Expr):
 # -- parser --------------------------------------------------------------
 
 
+def _too_deep(position: int) -> ParseError:
+    return ParseError(
+        f"expression nested more than {MAX_DEPTH} levels deep",
+        position,
+        "a shallower expression",
+    )
+
+
+def _check_depth(root: Expr) -> None:
+    """ParseError at the lowest node more than MAX_DEPTH nodes deep,
+    counted from its deepest leaf; a loop, so any depth is safe."""
+    depths: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        children = _children(stack[-1])
+        pending = [c for c in children if id(c) not in depths]
+        if pending:
+            stack.extend(pending)
+            continue
+        node = stack.pop()
+        depth = 1 + max((depths[id(c)] for c in children), default=0)
+        if depth > MAX_DEPTH:
+            raise _too_deep(node.pos)
+        depths[id(node)] = depth
+
+
 class _Parser:
     def __init__(self, tokens: Sequence[Token], length: int):
         self.tokens = list(tokens)
         self.index = 0
         self.length = length
+        self.nesting = 0
 
     def peek(self, offset: int = 0) -> Token | None:
         i = self.index + offset
@@ -291,7 +325,20 @@ class _Parser:
             raise ParseError(
                 f"unexpected {tok.text!r}", tok.position, "end of input"
             )
+        # Every node takes a token of its own, so a tree is never deeper
+        # than its source has tokens.
+        if len(self.tokens) > MAX_DEPTH:
+            _check_depth(node)
         return node
+
+    def nested(self, opener: Token, rule) -> Expr:
+        """``rule()`` parsed one nesting level below ``opener``."""
+        if self.nesting == MAX_DEPTH:
+            raise _too_deep(opener.position)
+        self.nesting += 1
+        inner = rule()
+        self.nesting -= 1
+        return inner
 
     def expr(self) -> Expr:
         node = self.term()
@@ -315,7 +362,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "minus":
             self.advance()
-            return Neg(self.factor(), pos=tok.position)
+            return Neg(self.nested(tok, self.factor), pos=tok.position)
         return self.power()
 
     def power(self) -> Expr:
@@ -373,15 +420,14 @@ class _Parser:
             if name == "H":
                 return HUnit(pos=tok.position)
             if name in ("sqrt", "st"):
-                self.expect("lparen", f"'(' after {name}")
-                inner = self.expr()
+                opener = self.expect("lparen", f"'(' after {name}")
+                inner = self.nested(opener, self.expr)
                 self.expect("rparen", "')'")
                 cls = Sqrt if name == "sqrt" else St
                 return cls(inner, pos=tok.position)
             return Var(name, pos=tok.position)
         if tok.kind == "lparen":
-            self.advance()
-            inner = self.expr()
+            inner = self.nested(self.advance(), self.expr)
             self.expect("rparen", "')'")
             return inner
         raise ParseError(
@@ -745,17 +791,42 @@ _WITNESS_CANDIDATES = (
 )
 
 
-def _find_counterexample(e1, e2, names, precision):
-    for values in itertools.product(_WITNESS_CANDIDATES, repeat=len(names)):
+def _find_counterexample(e1, e2, names, precision, difference):
+    """The first point of the candidate grid, in ``itertools.product``
+    order (first name slowest), where the trees disagree, or ``None``.
+
+    ``difference`` is ``N1·D2 - N2·D1`` of the two canonical forms, whose
+    leading variables are ``names``.  The walk fixes one name at a time
+    and skips each subgrid on which the partly substituted difference is
+    identically zero.  That is exact: where a tree has no pole it equals
+    its reduced form (whose denominator divides the tree's unreduced
+    one), so the sides can disagree only where the difference is
+    nonzero.  The other points are still judged by the trees, so poles
+    and truncated series behave as in a full walk and the first witness
+    is the same.
+    """
+
+    def walk(rest, values):
+        index = len(values)
+        if index < len(names):
+            for value in _WITNESS_CANDIDATES:
+                fixed = rest.substitute(index, value)
+                if fixed:
+                    found = walk(fixed, values + (value,))
+                    if found is not None:
+                        return found
+            return None
         point = {n: make_real(v, precision) for n, v in zip(names, values)}
         sides = _both_sides(e1, e2, point, precision)
-        if sides is not None and not agrees_to_guaranteed_order(*sides):
-            return {
-                "point": {n: str(v) for n, v in zip(names, values)},
-                "lhs": sides[0].render(),
-                "rhs": sides[1].render(),
-            }
-    return None  # pragma: no cover - the witness grid covers tested degrees
+        if sides is None or agrees_to_guaranteed_order(*sides):
+            return None
+        return {
+            "point": {n: str(v) for n, v in zip(names, values)},
+            "lhs": sides[0].render(),
+            "rhs": sides[1].render(),
+        }
+
+    return walk(difference, ())
 
 
 def identities_transfer_check(
@@ -774,13 +845,21 @@ def identities_transfer_check(
     order, so a canonical identity agrees at every pole-free sample.
     Deterministic for a given seed; points whose denominators vanish
     are redrawn, up to a cap, then marked inconclusive.
+
+    A non-identity's witness is the first point of a fixed grid where
+    the sides disagree.  The search skips each subgrid on which the
+    canonical difference ``N1·D2 - N2·D1`` vanishes identically: where
+    neither tree has a pole each equals its reduced form, so no witness
+    lies there, and the grid order, hence the witness, is unchanged.
     """
     _ensure_rational(e1)
     _ensure_rational(e2)
     names = free_variables(e1) | free_variables(e2)
     include_h = uses_units(e1) or uses_units(e2)
     ordered = order_variables(names, include_h=include_h)
-    identity = canonicalize(e1, ordered) == canonicalize(e2, ordered)
+    form1 = canonicalize(e1, ordered)
+    form2 = canonicalize(e2, ordered)
+    identity = form1 == form2
     sample_names = sorted(names)
     rng = random.Random(seed)
     finite = tuple(
@@ -791,9 +870,14 @@ def identities_transfer_check(
         _sample_once(e1, e2, sample_names, _draw_mixed, rng, precision)
         for _ in range(trials)
     )
-    counterexample = (
-        None if identity else _find_counterexample(e1, e2, sample_names, precision)
-    )
+    counterexample = None
+    if not identity:
+        difference = (
+            form1.numerator * form2.denominator - form2.numerator * form1.denominator
+        )
+        counterexample = _find_counterexample(
+            e1, e2, sample_names, precision, difference
+        )
     return TransferReport(
         identity=identity,
         finite_samples=finite,

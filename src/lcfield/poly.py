@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = ["Polynomial", "RationalForm", "poly_gcd"]
 
@@ -219,6 +219,23 @@ class Polynomial:
                     value *= point[name] ** exp
             total += value
         return total
+
+    def substitute(self, index: int, value: Fraction | int) -> "Polynomial":
+        """``self`` with variable ``index`` set to ``value``.
+
+        The variable tuple is kept and the slot is zero in every term, so
+        the result combines with polynomials over the same tuple.
+        """
+        acc: dict[Monomial, Fraction] = {}
+        for mono, coef in self.terms:
+            k = mono[index]
+            if k:
+                if not value:
+                    continue
+                coef = coef * value**k
+                mono = mono[:index] + (0,) + mono[index + 1:]
+            acc[mono] = acc.get(mono, _ZERO) + coef
+        return Polynomial.from_dict(self.variables, acc)
 
     def degree_in(self, index: int) -> int:
         if self.is_zero:

@@ -199,6 +199,20 @@ def test_eval_parse_error_exits_two(capsys):
     assert "position" in err
 
 
+TOO_DEEP = {
+    "sum_of_2000": "+".join(["1"] * 2000),
+    "parentheses_3000": "(" * 3000 + "1" + ")" * 3000,
+}
+
+
+@pytest.mark.parametrize("source", TOO_DEEP.values(), ids=TOO_DEEP)
+def test_eval_past_the_depth_bound_exits_two(capsys, source):
+    code, out, err = invoke(capsys, "eval", source)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "position" in err
+
+
 def test_eval_division_by_zero_exits_three(capsys):
     code, _, err = invoke(capsys, "eval", "1/(eps - eps)")
     assert code == 3
@@ -407,6 +421,15 @@ def test_transfer_reports_every_non_rational_line(capsys, tmp_path, fmt):
         "line 4: st is not a rational operation\n"
     )
     assert out == ""
+
+
+@pytest.mark.parametrize("source", TOO_DEEP.values(), ids=TOO_DEEP)
+def test_transfer_past_the_depth_bound_exits_two(capsys, tmp_path, source):
+    path = corpus(tmp_path, f"x == x\n{source} == 1\n")
+    code, out, err = invoke(capsys, "transfer", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("line 2: ") and "position" in err
 
 
 def test_transfer_missing_file_exits_two(capsys):

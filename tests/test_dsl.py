@@ -23,6 +23,7 @@ from lcfield import (
     sub,
 )
 from lcfield.dsl import (
+    MAX_DEPTH,
     Add,
     Const,
     Div,
@@ -182,6 +183,42 @@ def test_empty_source_is_a_parse_error():
         parse_text("")
     with pytest.raises(ParseError):
         parse_text("   ")
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        # the MAX_DEPTH-th "+" makes the left-nested sum one node too deep
+        ("+".join(["1"] * 2000), 2 * MAX_DEPTH - 1),
+        ("+".join(["1"] * (MAX_DEPTH + 1)), 2 * MAX_DEPTH - 1),
+        ("(" * 3000 + "1" + ")" * 3000, MAX_DEPTH),
+        ("sqrt(" * 500 + "1" + ")" * 500, 5 * MAX_DEPTH + 4),
+        ("-" * 3000 + "x", MAX_DEPTH),
+    ],
+    ids=["flat_sum", "one_term_too_many", "parentheses", "sqrt", "negations"],
+)
+def test_nesting_past_the_depth_bound_is_a_parse_error(source, position):
+    with pytest.raises(ParseError) as info:
+        parse_text(source)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize(
+    "source, same",
+    [
+        (" + ".join(["x"] * MAX_DEPTH), f"{MAX_DEPTH}*x"),
+        ("(" * (MAX_DEPTH - 1) + "x" + " + 1)" * (MAX_DEPTH - 1), f"x + {MAX_DEPTH - 1}"),
+        ("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, "x"),
+        ("-" * (MAX_DEPTH - 1) + "x", "-x"),
+    ],
+    ids=["flat_sum", "nested_sums", "parentheses", "negations"],
+)
+def test_a_tree_at_the_depth_bound_evaluates_prints_and_canonicalizes(source, same):
+    tree, reference = parse_text(source), parse_text(same)
+    env = {"x": make_real(F(3, 2))}
+    assert evaluate(tree, env) == evaluate(reference, env)
+    assert parse_text(to_source(tree)) == tree
+    assert canonicalize(tree) == canonicalize(reference)
 
 
 # -- structure helpers ------------------------------------------------------------

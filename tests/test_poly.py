@@ -127,6 +127,40 @@ def test_evaluation_is_a_homomorphism_point(a, px, py):
     assert square.evaluate(point) == a.evaluate(point) ** 2
 
 
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@given(polynomials(("x", "y", "z")), small_fractions, small_fractions, small_fractions)
+def test_substituting_every_variable_matches_evaluate(a, px, py, pz):
+    fixed = a.substitute(0, px).substitute(1, py).substitute(2, pz)
+    assert fixed.variables == a.variables
+    assert fixed.is_constant
+    assert fixed.constant_value() == a.evaluate({"x": px, "y": py, "z": pz})
+
+
+@given(polynomials(), st.integers(0, 1), small_fractions)
+def test_substitute_zeroes_the_fixed_slot(a, index, value):
+    fixed = a.substitute(index, value)
+    assert all(mono[index] == 0 for mono, _ in fixed.terms)
+    other = 1 - index
+    for q in (F(-1), F(2, 3)):
+        assert fixed.substitute(other, q).constant_value() == a.evaluate(
+            {XY[index]: value, XY[other]: q}
+        )
+
+
+@given(polynomials(), st.integers(0, 1))
+def test_substituting_zero_drops_the_terms_that_use_the_variable(a, index):
+    kept = {mono: coef for mono, coef in a.terms if mono[index] == 0}
+    assert a.substitute(index, 0) == Polynomial.from_dict(XY, kept)
+
+
+def test_substitute_spot_check():
+    p = P(XY, {(2, 1): 1, (1, 0): -3, (0, 1): 2})  # x^2 y - 3x + 2y
+    assert p.substitute(0, F(1, 2)) == P(XY, {(0, 1): F(9, 4), (0, 0): F(-3, 2)})
+    assert p.substitute(1, 0) == P(XY, {(1, 0): -3})
+
+
 # -- division ------------------------------------------------------------------------
 
 

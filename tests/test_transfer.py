@@ -1,11 +1,20 @@
 """Identity transfer checking: canonical verdicts plus exact sampling on
 both sides of the assignable divide."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lcfield import DivisionByZero, evaluate, make_real, parse_text
+from lcfield import (
+    DivisionByZero,
+    agrees_to_guaranteed_order,
+    dsl,
+    evaluate,
+    make_real,
+    parse_text,
+)
 from lcfield.dsl import NonRationalNode, identities_transfer_check
 
 
@@ -145,3 +154,92 @@ def test_one_sided_units_still_share_a_canonical_frame():
     assert report.identity
     assert all(r["agree"] is True for r in report.finite_samples)
     assert all(r["agree"] is True for r in report.infinite_samples)
+
+
+# -- the pruned witness search against the exhaustive walk -------------------
+
+
+def exhaustive_counterexample(e1, e2, names, precision):
+    """The witness search without pruning: every grid point, in order."""
+    for values in itertools.product(dsl._WITNESS_CANDIDATES, repeat=len(names)):
+        point = {n: make_real(v, precision) for n, v in zip(names, values)}
+        try:
+            sides = evaluate(e1, point, precision), evaluate(e2, point, precision)
+        except DivisionByZero:
+            continue
+        if not agrees_to_guaranteed_order(*sides):
+            return {
+                "point": {n: str(v) for n, v in zip(names, values)},
+                "lhs": sides[0].render(),
+                "rhs": sides[1].render(),
+            }
+    return None
+
+
+@st.composite
+def non_identities(draw):
+    """``(lhs, rhs, precision)``: rhs adds to lhs a product of linear
+    factors that vanish on whole grid planes, sometimes with a removable
+    pole (``x/x``) or a real one (``1/(x - 1)``) and with eps/H.
+
+    Truncation can hide the difference at every point, and then the walk
+    covers the whole grid; that case is drawn in one variable only, where
+    the grid has 31 points."""
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    low_precision = len(names) == 1
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    atoms = names + ("eps", "H", "2", "1/3")
+    base = " + ".join(
+        f"{pick(atoms)}*{pick(atoms)}" for _ in range(draw(st.integers(1, 3)))
+    )
+    factors = [
+        f"({pick(names)} - {pick(('0', '1', '-1', '2', '1/2'))})"
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    scales = ("1", "3/2", "eps", "H") + (("eps^9",) if low_precision else ())
+    lhs, rhs = base, f"{base} + {'*'.join(factors)}*{pick(scales)}"
+    pole = pick(("none", "removable", "real"))
+    v = pick(names)
+    if pole == "removable":
+        lhs = f"({lhs})*{v}/{v}"
+    elif pole == "real":
+        lhs, rhs = f"{lhs} + 1/({v} - 1)", f"{rhs} + 1/({v} - 1)"
+    precision = pick((2, 4, 16)) if low_precision else 16
+    return lhs, rhs, precision
+
+
+@settings(max_examples=100)
+@given(non_identities())
+def test_pruned_witness_search_matches_the_exhaustive_walk(case):
+    lhs, rhs, precision = case
+    e1, e2 = parse_text(lhs), parse_text(rhs)
+    report = identities_transfer_check(e1, e2, trials=0, precision=precision)
+    assert not report.identity
+    names = sorted(dsl.free_variables(e1) | dsl.free_variables(e2))
+    assert report.counterexample == exhaustive_counterexample(
+        e1, e2, names, precision
+    )
+
+
+def test_witness_search_skips_the_subgrids_where_the_difference_vanishes(
+    monkeypatch,
+):
+    # The difference x*(y + 2) is zero on the whole x = 0 plane, the first
+    # 961 grid points; an exhaustive walk evaluates both sides at each.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(dsl, "evaluate", counting)
+    report = check("x*(y + 2) + y*z", "y*z", trials=0)
+    assert report.counterexample == {
+        "point": {"x": "1", "y": "0", "z": "0"},
+        "lhs": "2",
+        "rhs": "0",
+    }
+    assert len(calls) <= 4
