@@ -33,7 +33,6 @@ from .core import (
 from .dsl import (
     Add,
     Const,
-    Div,
     Eps,
     Expr,
     HUnit,
@@ -42,7 +41,6 @@ from .dsl import (
     Pow,
     Sqrt,
     St,
-    Sub,
     Var,
     evaluate,
     to_source,
@@ -176,7 +174,7 @@ def product_rule_report(
     u_here, v_here = at(u, p), at(v, p)
     du = sub(at(u, add(p, e)), u_here)
     dv = sub(at(v, add(p, e)), v_here)
-    product = Mul(u, v)
+    product = Mul((u, v), "*")
     d_product = sub(at(product, add(p, e)), at(product, p))
 
     rhs = add(add(mul(u_here, dv), mul(v_here, du)), mul(du, dv))
@@ -223,30 +221,25 @@ def symbolic_derivative(f: Expr, var: str) -> Expr:
     if isinstance(f, Neg):
         return Neg(symbolic_derivative(f.arg, var))
     if isinstance(f, Add):
-        return Add(symbolic_derivative(f.left, var), symbolic_derivative(f.right, var))
-    if isinstance(f, Sub):
-        return Sub(symbolic_derivative(f.left, var), symbolic_derivative(f.right, var))
+        return Add(tuple(symbolic_derivative(a, var) for a in f.args), f.ops)
     if isinstance(f, Mul):
-        return Add(
-            Mul(symbolic_derivative(f.left, var), f.right),
-            Mul(f.left, symbolic_derivative(f.right, var)),
-        )
-    if isinstance(f, Div):
-        return Div(
-            Sub(
-                Mul(symbolic_derivative(f.left, var), f.right),
-                Mul(f.left, symbolic_derivative(f.right, var)),
-            ),
-            Pow(f.right, 2),
-        )
+        # the product and quotient rules, folded along the chain
+        left, slope = f.args[0], symbolic_derivative(f.args[0], var)
+        for op, right in zip(f.ops, f.args[1:]):
+            cross = Mul((left, symbolic_derivative(right, var)), "*")
+            slope = Add((Mul((slope, right), "*"), cross), "+" if op == "*" else "-")
+            if op == "/":
+                slope = Mul((slope, Pow(right, 2)), "/")
+            left = Mul((left, right), op)
+        return slope
     if isinstance(f, Pow):
         if f.exponent == 0:
             return Const(Fraction(0))
         inner = symbolic_derivative(f.base, var)
-        scaled = Mul(Const(Fraction(f.exponent)), inner)
+        scaled = Mul((Const(Fraction(f.exponent)), inner), "*")
         if f.exponent == 1:
             return scaled
-        return Mul(scaled, Pow(f.base, f.exponent - 1))
+        return Mul((scaled, Pow(f.base, f.exponent - 1)), "*")
     if isinstance(f, (Sqrt, St)):
         kind = "sqrt" if isinstance(f, Sqrt) else "st"
         raise UnsupportedNode(f"{kind} is outside the oracle's fragment", f.pos)

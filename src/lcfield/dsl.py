@@ -4,11 +4,16 @@ Grammar (operator precedence: unary minus below ``^``, so ``-x^2`` is
 ``-(x^2)``; all binary operators left-associative)::
 
     expr   := term (("+" | "-") term)*
-    term   := factor (("*" | "/") factor)*
+    term   := factor (("*" | "/" | "·") factor)*
     factor := "-" factor | power
     power  := atom ("^" int)?
     atom   := rational | ident | "eps" | "H"
             | "sqrt" "(" expr ")" | "st" "(" expr ")" | "(" expr ")"
+
+Each ``+ -`` chain parses to one ``Add`` node and each ``* /`` chain to
+one ``Mul`` node, so a tree is only as deep as its nesting: parentheses,
+``sqrt(``/``st(`` and unary minus.  ``·`` reads as ``*``, so canonical
+renders parse back.
 
 Number literals are unsigned; a decimal point is accepted and converted
 exactly (``3.5`` is ``7/2``).  A literal ``p/q`` with positive integer
@@ -63,9 +68,7 @@ __all__ = [
     "Eps",
     "HUnit",
     "Add",
-    "Sub",
     "Mul",
-    "Div",
     "Pow",
     "Sqrt",
     "St",
@@ -87,17 +90,18 @@ __all__ = [
 
 RESERVED_WORDS = frozenset({"eps", "H", "sqrt", "st"})
 
-# The parser, evaluator, printer and canonicalizer recurse once per level,
-# so the parser rejects parentheses or unary minus signs nested more than
-# this deep, and trees more than this many nodes deep (a flat sum of n
-# terms is n deep): that stays well inside Python's default recursion
-# limit of 1000 frames, a parenthesis level costing the parser six.
+# The parser, evaluator, printer and canonicalizer recurse once per nesting
+# level and loop along a chain, so the parser rejects parentheses, sqrt(,
+# st( or unary minus signs nested more than this deep: that stays well
+# inside Python's default recursion limit of 1000 frames, a parenthesis
+# level costing the parser six and the tree walkers at most four.
 MAX_DEPTH = 100
 
 _SINGLE_CHAR_TOKENS = {
     "+": "plus",
     "-": "minus",
     "*": "star",
+    "·": "star",
     "/": "slash",
     "^": "caret",
     "(": "lparen",
@@ -139,7 +143,7 @@ class Token:
 
 
 def tokenize(source: str) -> list[Token]:
-    """Full tokenization or a LexError; positions are byte offsets."""
+    """Full tokenization or a LexError; positions are character offsets."""
     tokens: list[Token] = []
     i = 0
     n = len(source)
@@ -209,31 +213,28 @@ class HUnit(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class _Chain(Expr):
+    """``args[0] ops[0] args[1] ops[1] ... args[-1]``, folded left.
+
+    ``ops`` holds one operator character per operand after the first.
+    The parser never puts a chain of the same kind first, so
+    ``(a + b) + c`` and ``a + b + c`` give one tree.  ``positions`` holds
+    the source offsets of the ``/`` operators, the only ones that can
+    fail; ``pos`` is the first operator's offset.
+    """
+
+    args: tuple[Expr, ...]
+    ops: str
     pos: int = field(default=-1, compare=False)
+    positions: tuple[int, ...] = field(default=(), compare=False)
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-    pos: int = field(default=-1, compare=False)
+class Add(_Chain):
+    """A chain of ``+`` and ``-``."""
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-    pos: int = field(default=-1, compare=False)
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-    pos: int = field(default=-1, compare=False)
+class Mul(_Chain):
+    """A chain of ``*`` and ``/``."""
 
 
 @dataclass(frozen=True)
@@ -264,30 +265,10 @@ class Neg(Expr):
 # -- parser --------------------------------------------------------------
 
 
-def _too_deep(position: int) -> ParseError:
-    return ParseError(
-        f"expression nested more than {MAX_DEPTH} levels deep",
-        position,
-        "a shallower expression",
-    )
-
-
-def _check_depth(root: Expr) -> None:
-    """ParseError at the lowest node more than MAX_DEPTH nodes deep,
-    counted from its deepest leaf; a loop, so any depth is safe."""
-    depths: dict[int, int] = {}
-    stack = [root]
-    while stack:
-        children = _children(stack[-1])
-        pending = [c for c in children if id(c) not in depths]
-        if pending:
-            stack.extend(pending)
-            continue
-        node = stack.pop()
-        depth = 1 + max((depths[id(c)] for c in children), default=0)
-        if depth > MAX_DEPTH:
-            raise _too_deep(node.pos)
-        depths[id(node)] = depth
+_CHAIN_OPS = {
+    Add: {"plus": "+", "minus": "-"},
+    Mul: {"star": "*", "slash": "/"},
+}
 
 
 class _Parser:
@@ -325,38 +306,40 @@ class _Parser:
             raise ParseError(
                 f"unexpected {tok.text!r}", tok.position, "end of input"
             )
-        # Every node takes a token of its own, so a tree is never deeper
-        # than its source has tokens.
-        if len(self.tokens) > MAX_DEPTH:
-            _check_depth(node)
         return node
 
     def nested(self, opener: Token, rule) -> Expr:
         """``rule()`` parsed one nesting level below ``opener``."""
         if self.nesting == MAX_DEPTH:
-            raise _too_deep(opener.position)
+            raise ParseError(
+                f"expression nested more than {MAX_DEPTH} levels deep",
+                opener.position,
+                "a shallower expression",
+            )
         self.nesting += 1
         inner = rule()
         self.nesting -= 1
         return inner
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while (tok := self.peek()) is not None and tok.kind in ("plus", "minus"):
+    def expr(self, cls: type[_Chain] = Add) -> Expr:
+        """One ``cls`` chain, or its lone operand; an ``Add`` chain's
+        operands are ``Mul`` chains."""
+        ops = _CHAIN_OPS[cls]
+        node = self.expr(Mul) if cls is Add else self.factor()
+        if (tok := self.peek()) is None or tok.kind not in ops:
+            return node
+        if isinstance(node, cls):  # a parenthesized chain goes on
+            args, text, slashes = list(node.args), [node.ops], list(node.positions)
+            pos = node.pos
+        else:
+            args, text, slashes, pos = [node], [], [], tok.position
+        while (tok := self.peek()) is not None and tok.kind in ops:
             self.advance()
-            right = self.term()
-            cls = Add if tok.kind == "plus" else Sub
-            node = cls(node, right, pos=tok.position)
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while (tok := self.peek()) is not None and tok.kind in ("star", "slash"):
-            self.advance()
-            right = self.factor()
-            cls = Mul if tok.kind == "star" else Div
-            node = cls(node, right, pos=tok.position)
-        return node
+            text.append(ops[tok.kind])
+            if tok.kind == "slash":
+                slashes.append(tok.position)
+            args.append(self.expr(Mul) if cls is Add else self.factor())
+        return cls(tuple(args), "".join(text), pos, tuple(slashes))
 
     def factor(self) -> Expr:
         tok = self.peek()
@@ -459,6 +442,7 @@ _LEVEL_MUL = 2
 _LEVEL_NEG = 3
 _LEVEL_POW = 4
 _LEVEL_ATOM = 5
+_OP_TEXT = {"+": " + ", "-": " - ", "*": "*", "/": "/"}
 
 
 def to_source(expr: Expr) -> str:
@@ -493,21 +477,18 @@ def _print(node: Expr, context: int) -> str:
     elif isinstance(node, Pow):
         text = f"{_print(node.base, _LEVEL_ATOM)}^{node.exponent}"
         level = _LEVEL_POW
-    elif isinstance(node, (Add, Sub)):
-        op = " + " if isinstance(node, Add) else " - "
-        text = f"{_print(node.left, _LEVEL_ADD)}{op}{_print(node.right, _LEVEL_ADD + 1)}"
-        level = _LEVEL_ADD
-    elif isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        right = node.right
-        if isinstance(node, Div) and isinstance(right, Const):
-            # Parenthesize so the literal folding rule cannot merge the
-            # denominator with a number that happens to end the left side.
-            right_text = f"({_print(right, 0)})"
-        else:
-            right_text = _print(right, _LEVEL_MUL + 1)
-        text = f"{_print(node.left, _LEVEL_MUL)}{op}{right_text}"
-        level = _LEVEL_MUL
+    elif isinstance(node, _Chain):
+        level = _LEVEL_ADD if isinstance(node, Add) else _LEVEL_MUL
+        args = iter(node.args)
+        parts = [_print(next(args), level)]
+        for op, arg in zip(node.ops, args):
+            if op == "/" and isinstance(arg, Const):
+                # Parenthesize so the literal folding rule cannot merge the
+                # denominator with a number that happens to end the left side.
+                parts.append(f"/({_print(arg, 0)})")
+            else:
+                parts.append(_OP_TEXT[op] + _print(arg, level + 1))
+        text = "".join(parts)
     else:  # pragma: no cover - exhaustive over node types
         raise TypeError(f"unknown node {node!r}")
     if level < context:
@@ -519,8 +500,8 @@ def _print(node: Expr, context: int) -> str:
 
 
 def _children(node: Expr) -> tuple[Expr, ...]:
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return (node.left, node.right)
+    if isinstance(node, _Chain):
+        return node.args
     if isinstance(node, Pow):
         return (node.base,)
     if isinstance(node, (Sqrt, St, Neg)):
@@ -584,14 +565,26 @@ def _eval(node: Expr, env: Mapping[str, LCNumber], precision: int) -> LCNumber:
         if isinstance(node, HUnit):
             return make_monomial(1, -1, precision)
         if isinstance(node, Add):
-            return add(_eval(node.left, env, precision), _eval(node.right, env, precision))
-        if isinstance(node, Sub):
-            return sub(_eval(node.left, env, precision), _eval(node.right, env, precision))
+            args = iter(node.args)
+            value = _eval(next(args), env, precision)
+            for op, arg in zip(node.ops, args):
+                term = _eval(arg, env, precision)
+                value = add(value, term) if op == "+" else sub(value, term)
+            return value
         if isinstance(node, Mul):
-            return mul(_eval(node.left, env, precision), _eval(node.right, env, precision))
-        if isinstance(node, Div):
-            numerator = _eval(node.left, env, precision)
-            return mul(numerator, inverse(_eval(node.right, env, precision)))
+            args, slashes = iter(node.args), iter(node.positions)
+            value = _eval(next(args), env, precision)
+            for op, arg in zip(node.ops, args):
+                factor = _eval(arg, env, precision)
+                if op == "/":
+                    at = next(slashes, node.pos)
+                    try:
+                        factor = inverse(factor)
+                    except LCError as err:
+                        _mark(err, at)
+                        raise
+                value = mul(value, factor)
+            return value
         if isinstance(node, Pow):
             return power(_eval(node.base, env, precision), node.exponent)
         if isinstance(node, Neg):
@@ -601,8 +594,8 @@ def _eval(node: Expr, env: Mapping[str, LCNumber], precision: int) -> LCNumber:
         if isinstance(node, St):
             return make_real(standard_part(_eval(node.arg, env, precision)), precision)
     except LCError as err:
-        # Only Var, Div, Pow, Sqrt and St nodes raise; the deepest one
-        # marks the error first and _mark keeps that position.
+        # Only Var, Pow, Sqrt and St nodes and a chain's "/" raise; the
+        # deepest one marks the error first and _mark keeps that position.
         _mark(err, node.pos)
         raise
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
@@ -667,18 +660,27 @@ def _canon(node: Expr, variables: tuple[str, ...]) -> RationalForm:
     if isinstance(node, HUnit):
         return RationalForm.variable(variables, "H")
     if isinstance(node, Add):
-        return _canon(node.left, variables) + _canon(node.right, variables)
-    if isinstance(node, Sub):
-        return _canon(node.left, variables) - _canon(node.right, variables)
+        args = iter(node.args)
+        form = _canon(next(args), variables)
+        for op, arg in zip(node.ops, args):
+            term = _canon(arg, variables)
+            form = form + term if op == "+" else form - term
+        return form
     if isinstance(node, Mul):
-        return _canon(node.left, variables) * _canon(node.right, variables)
-    if isinstance(node, Div):
-        denominator = _canon(node.right, variables)
-        if denominator.is_zero:
-            raise DivisionByZero(
-                "denominator is identically zero", node.pos
-            )
-        return _canon(node.left, variables) / denominator
+        # Every divisor first, right to left, as nested binary nodes did,
+        # so a chain with several zero divisors reports the same one.
+        slashes, divisors = reversed(node.positions), []
+        for op, arg in zip(reversed(node.ops), reversed(node.args)):
+            if op == "/":
+                at = next(slashes, node.pos)
+                divisors.append(_canon(arg, variables))
+                if divisors[-1].is_zero:
+                    raise DivisionByZero("denominator is identically zero", at)
+        args = iter(node.args)
+        form = _canon(next(args), variables)
+        for op, arg in zip(node.ops, args):
+            form = form * _canon(arg, variables) if op == "*" else form / divisors.pop()
+        return form
     if isinstance(node, Pow):
         base = _canon(node.base, variables)
         if node.exponent < 0 and base.is_zero:
@@ -852,8 +854,6 @@ def identities_transfer_check(
     neither tree has a pole each equals its reduced form, so no witness
     lies there, and the grid order, hence the witness, is unchanged.
     """
-    _ensure_rational(e1)
-    _ensure_rational(e2)
     names = free_variables(e1) | free_variables(e2)
     include_h = uses_units(e1) or uses_units(e2)
     ordered = order_variables(names, include_h=include_h)

@@ -13,7 +13,7 @@ import random
 from hypothesis import strategies as st
 
 from lcfield import LCNumber, make_real
-from lcfield.dsl import Add, Const, Div, Eps, Expr, HUnit, Mul, Neg, Pow, Sqrt, Sub, Var
+from lcfield.dsl import Add, Const, Eps, Expr, HUnit, Mul, Neg, Pow, Sqrt, Var
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -60,8 +60,9 @@ def expressions(
     max_leaves: int = 6,
 ):
     """Random syntax trees restricted to parser-producible shapes:
-    constants are nonnegative (negation is a Neg node) and exponents are
-    small integers."""
+    constants are nonnegative (negation is a Neg node), exponents are
+    small integers, and a chain's first operand is never a chain of the
+    same kind (the parser extends it instead)."""
     leaves = [
         st.builds(Const, nonneg_rationals),
         st.sampled_from([Var(n) for n in names]) if names else None,
@@ -70,19 +71,29 @@ def expressions(
     ]
     leaf = st.one_of([s for s in leaves if s is not None])
 
+    def chain(cls, symbols, children):
+        def build(drawn):
+            first, rest = drawn
+            args = tuple(arg for _, arg in rest)
+            ops = "".join(op for op, _ in rest)
+            if isinstance(first, cls):
+                return cls(first.args + args, first.ops + ops)
+            return cls((first,) + args, ops)
+
+        rest = st.lists(
+            st.tuples(st.sampled_from(symbols), children), min_size=1, max_size=3
+        )
+        return st.tuples(children, rest).map(build)
+
     def extend(children):
-        two = st.tuples(children, children)
         options = [
-            two.map(lambda p: Add(*p)),
-            two.map(lambda p: Sub(*p)),
-            two.map(lambda p: Mul(*p)),
+            chain(Add, "+-", children),
+            chain(Mul, "*/" if allow_div else "*", children),
             children.map(Neg),
             st.tuples(children, st.integers(min_value=-2, max_value=3)).map(
                 lambda p: Pow(*p)
             ),
         ]
-        if allow_div:
-            options.append(two.map(lambda p: Div(*p)))
         if allow_sqrt:
             options.append(children.map(Sqrt))
         if allow_st:
@@ -110,11 +121,12 @@ def random_nonzero_rational(rng: random.Random, span: int = 9, den: int = 9) -> 
 
 def poly_expr(coeffs: list[Fraction], var: str = "x") -> Expr:
     """Dense polynomial sum(coeffs[k] * var^k) as a syntax tree."""
-    node: Expr = Const(Fraction(coeffs[0]) if coeffs else Fraction(0))
-    for k, c in enumerate(coeffs[1:], start=1):
-        term = Mul(Const(Fraction(c)), Pow(Var(var), k))
-        node = Add(node, term)
-    return node
+    head: Expr = Const(Fraction(coeffs[0]) if coeffs else Fraction(0))
+    terms = tuple(
+        Mul((Const(Fraction(c)), Pow(Var(var), k)), "*")
+        for k, c in enumerate(coeffs[1:], start=1)
+    )
+    return Add((head,) + terms, "+" * len(terms)) if terms else head
 
 
 def random_poly_expr(

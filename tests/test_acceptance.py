@@ -124,7 +124,7 @@ def _criterion_3(precision: int = 16, seed: int = 3001, pairs: int = 500):
         v = random_poly_expr(rng, 3 - degree_u)
         point = random_rational(rng)
         report = product_rule_report(u, v, "x", point, precision=precision)
-        product = Mul(u, v)
+        product = Mul((u, v), "*")
         oracle = evaluate(
             symbolic_derivative(product, "x"),
             {"x": make_real(point, precision)},

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, formats, exit codes, streams."""
 
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -199,15 +201,20 @@ def test_eval_parse_error_exits_two(capsys):
     assert "position" in err
 
 
+# source -> its value, or None where the nesting is past dsl.MAX_DEPTH.  A
+# sum of any length is one chain, one level deep, so it is accepted.
 TOO_DEEP = {
-    "sum_of_2000": "+".join(["1"] * 2000),
-    "parentheses_3000": "(" * 3000 + "1" + ")" * 3000,
+    "sum_of_2000": ("+".join(["1"] * 2000), "2000"),
+    "parentheses_3000": ("(" * 3000 + "1" + ")" * 3000, None),
 }
 
 
-@pytest.mark.parametrize("source", TOO_DEEP.values(), ids=TOO_DEEP)
-def test_eval_past_the_depth_bound_exits_two(capsys, source):
+@pytest.mark.parametrize("source, value", TOO_DEEP.values(), ids=TOO_DEEP)
+def test_eval_past_the_depth_bound_exits_two(capsys, source, value):
     code, out, err = invoke(capsys, "eval", source)
+    if value is not None:
+        assert (code, out, err) == (0, f"{value} (appreciable)\nshadow: {value}\n", "")
+        return
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "position" in err
@@ -423,13 +430,31 @@ def test_transfer_reports_every_non_rational_line(capsys, tmp_path, fmt):
     assert out == ""
 
 
-@pytest.mark.parametrize("source", TOO_DEEP.values(), ids=TOO_DEEP)
-def test_transfer_past_the_depth_bound_exits_two(capsys, tmp_path, source):
-    path = corpus(tmp_path, f"x == x\n{source} == 1\n")
+@pytest.mark.parametrize("source, value", TOO_DEEP.values(), ids=TOO_DEEP)
+def test_transfer_past_the_depth_bound_exits_two(capsys, tmp_path, source, value):
+    path = corpus(tmp_path, f"x == x\n{source} == {value or 1}\n")
     code, out, err = invoke(capsys, "transfer", path)
+    if value is not None:
+        assert (code, err) == (0, "")
+        assert out.count("[PASS]") == 2
+        return
     assert code == 2
     assert out == ""
     assert err.startswith("line 2: ") and "position" in err
+
+
+def test_transfer_passes_an_expansion_of_more_than_a_hundred_terms(capsys, tmp_path):
+    # (x + y + z + w + u)^5 == its multinomial expansion, written out
+    names, terms = "xyzwu", []
+    for exps in itertools.product(range(6), repeat=5):
+        if sum(exps) == 5:
+            coef = math.factorial(5) // math.prod(map(math.factorial, exps))
+            terms.append("*".join([str(coef)] + [f"{v}^{e}" for v, e in zip(names, exps) if e]))
+    assert len(terms) == 126
+    line = f"({' + '.join(names)})^5 == {' + '.join(terms)}\n"
+    code, out, err = invoke(capsys, "transfer", corpus(tmp_path, line))
+    assert (code, err) == (0, "")
+    assert out.startswith("[PASS]")
 
 
 def test_transfer_missing_file_exits_two(capsys):

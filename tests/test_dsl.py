@@ -1,12 +1,19 @@
 """Expression language: lexer, parser, printer, evaluator, canonicalizer."""
 
 import gc
+import os
+import subprocess
+import sys
 import types
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, assume, strategies as st
 
+import lcfield
+from lcfield import dsl
 from lcfield import (
     DivisionByZero,
     InfiniteOperand,
@@ -26,7 +33,6 @@ from lcfield.dsl import (
     MAX_DEPTH,
     Add,
     Const,
-    Div,
     Eps,
     HUnit,
     LexError,
@@ -37,7 +43,6 @@ from lcfield.dsl import (
     Pow,
     Sqrt,
     St,
-    Sub,
     UnboundVariable,
     Var,
     canonicalize,
@@ -117,26 +122,37 @@ def test_negation_binds_looser_than_power():
 
 
 def test_precedence_and_associativity():
-    assert parse_text("1 + 2*x") == Add(Const(F(1)), Mul(Const(F(2)), Var("x")))
-    assert parse_text("a - b - c") == Sub(Sub(Var("a"), Var("b")), Var("c"))
-    assert parse_text("a/b/c") == Div(Div(Var("a"), Var("b")), Var("c"))
-    assert parse_text("a*b + c") == Add(Mul(Var("a"), Var("b")), Var("c"))
+    a, b, c = Var("a"), Var("b"), Var("c")
+    assert parse_text("1 + 2*x") == Add((Const(F(1)), Mul((Const(F(2)), Var("x")), "*")), "+")
+    assert parse_text("a - b - c") == Add((a, b, c), "--")
+    assert parse_text("a/b/c") == Mul((a, b, c), "//")
+    assert parse_text("a*b + c") == Add((Mul((a, b), "*"), c), "+")
+    assert parse_text("a - (b - c)") == Add((a, Add((b, c), "-")), "-")
+
+
+@pytest.mark.parametrize(
+    "source, same",
+    [("(a - b) + c", "a - b + c"), ("((a*b))/c", "a*b/c"), ("(a/b)·c", "a/b*c")],
+)
+def test_a_parenthesized_first_chain_is_extended(source, same):
+    # the binary trees these chains replace were equal too
+    assert parse_text(source) == parse_text(same)
 
 
 def test_rational_literal_folding():
     assert parse_text("3/2") == Const(F(3, 2))
     assert parse_text("3 / 2") == Const(F(3, 2))
-    assert parse_text("x + 1/2") == Add(Var("x"), Const(F(1, 2)))
+    assert parse_text("x + 1/2") == Add((Var("x"), Const(F(1, 2))), "+")
 
 
 def test_folding_defers_to_a_following_power():
-    assert parse_text("3/2^2") == Div(Const(F(3)), Pow(Const(F(2)), 2))
+    assert parse_text("3/2^2") == Mul((Const(F(3)), Pow(Const(F(2)), 2)), "/")
     assert parse_text("(3/2)^2") == Pow(Const(F(3, 2)), 2)
 
 
 def test_folding_skips_zero_and_decimal_denominators():
-    assert parse_text("3/0") == Div(Const(F(3)), Const(F(0)))
-    assert parse_text("3/2.5") == Div(Const(F(3)), Const(F(5, 2)))
+    assert parse_text("3/0") == Mul((Const(F(3)), Const(F(0))), "/")
+    assert parse_text("3/2.5") == Mul((Const(F(3)), Const(F(5, 2))), "/")
 
 
 def test_power_requires_an_integer_literal_exponent():
@@ -159,7 +175,7 @@ def test_reserved_words_parse_as_units_and_functions():
     assert parse_text("eps") == Eps()
     assert parse_text("H") == HUnit()
     assert parse_text("sqrt(x)") == Sqrt(Var("x"))
-    assert parse_text("st(x + eps)") == St(Add(Var("x"), Eps()))
+    assert parse_text("st(x + eps)") == St(Add((Var("x"), Eps()), "+"))
     with pytest.raises(ParseError):
         parse_text("sqrt 4")
     with pytest.raises(ValueError):
@@ -188,9 +204,9 @@ def test_empty_source_is_a_parse_error():
 @pytest.mark.parametrize(
     "source, position",
     [
-        # the MAX_DEPTH-th "+" makes the left-nested sum one node too deep
-        ("+".join(["1"] * 2000), 2 * MAX_DEPTH - 1),
-        ("+".join(["1"] * (MAX_DEPTH + 1)), 2 * MAX_DEPTH - 1),
+        # a sum of any length is one chain, one level deep: no error
+        ("+".join(["1"] * 2000), None),
+        ("+".join(["1"] * (MAX_DEPTH + 1)), None),
         ("(" * 3000 + "1" + ")" * 3000, MAX_DEPTH),
         ("sqrt(" * 500 + "1" + ")" * 500, 5 * MAX_DEPTH + 4),
         ("-" * 3000 + "x", MAX_DEPTH),
@@ -198,6 +214,9 @@ def test_empty_source_is_a_parse_error():
     ids=["flat_sum", "one_term_too_many", "parentheses", "sqrt", "negations"],
 )
 def test_nesting_past_the_depth_bound_is_a_parse_error(source, position):
+    if position is None:
+        assert isinstance(parse_text(source), Add)
+        return
     with pytest.raises(ParseError) as info:
         parse_text(source)
     assert info.value.position == position
@@ -221,6 +240,70 @@ def test_a_tree_at_the_depth_bound_evaluates_prints_and_canonicalizes(source, sa
     assert canonicalize(tree) == canonicalize(reference)
 
 
+@pytest.mark.parametrize(
+    "source, same, operands",
+    [
+        (" + ".join(["x - 1"] * 5000), "5000*x - 5000", 10_000),
+        ("*".join(["x/2"] * 1000), "x^1000/2^1000", 2000),
+    ],
+    ids=["sum_of_10000", "product_of_2000"],
+)
+def test_a_chain_of_any_length_is_one_level_deep(source, same, operands):
+    tree, reference = parse_text(source), parse_text(same)
+    assert len(tree.args) == operands
+    env = {"x": make_real(F(3, 2))}
+    assert evaluate(tree, env) == evaluate(reference, env)
+    assert parse_text(to_source(tree)) == tree
+    assert canonicalize(tree) == canonicalize(reference)
+
+
+def _nested(opener: str, depth: int) -> str:
+    # Each step nests four levels inside a product and a sum: a
+    # parenthesis, two unary minus signs and ``opener``.  Every level's
+    # value is 1, so a sqrt( opener stays exact.
+    source = "x/x"
+    for _ in range(depth // 4):
+        source = f"x*(--{opener}{source})^1)^1/x + 0"
+    return source
+
+
+def test_the_recursion_budget_holds_at_the_depth_bound():
+    assert MAX_DEPTH % 4 == 0
+    # a fresh interpreter at the default recursion limit, so the test
+    # runner's own frames do not count against the walkers
+    script = f"""
+import sys
+from fractions import Fraction
+from lcfield import make_real
+from lcfield.dsl import NonRationalNode, canonicalize, evaluate, parse_text, to_source
+assert sys.getrecursionlimit() == 1000
+env = {{"x": make_real(Fraction(3, 2))}}
+one = canonicalize(parse_text("x/x"))
+for source in ({_nested("sqrt(", MAX_DEPTH)!r}, {_nested("(", MAX_DEPTH)!r}):
+    tree = parse_text(source)
+    if evaluate(tree, env) != make_real(1) or parse_text(to_source(tree)) != tree:
+        raise SystemExit("wrong value or round trip")
+    try:
+        form = canonicalize(tree)
+    except NonRationalNode:
+        form = "sqrt"
+    if form != ("sqrt" if "sqrt" in source else one):
+        raise SystemExit("wrong canonical form")
+"""
+    src = str(Path(lcfield.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    for opener in ("sqrt(", "("):
+        with pytest.raises(ParseError):
+            parse_text(f"({_nested(opener, MAX_DEPTH)})")
+
+
 # -- structure helpers ------------------------------------------------------------
 
 
@@ -239,7 +322,7 @@ def test_to_source_spot_checks():
     assert to_source(parse_text("-x^2")) == "-x^2"
     assert to_source(parse_text("(x + y)*z")) == "(x + y)*z"
     assert to_source(parse_text("x - (y - z)")) == "x - (y - z)"
-    assert to_source(Div(Const(F(6)), Const(F(2)))) == "6/(2)"
+    assert to_source(Mul((Const(F(6)), Const(F(2))), "/")) == "6/(2)"
     assert to_source(parse_text("(3/2)^2")) == "(3/2)^2"
     assert to_source(parse_text("st(sqrt(x))")) == "st(sqrt(x))"
 
@@ -268,6 +351,20 @@ def test_evaluate_uses_bindings_and_units():
 def test_evaluate_respects_precision():
     v = evaluate(parse_text("1/(1 - eps)"), precision=4)
     assert v == LCNumber.from_terms([(k, 1) for k in range(4)], precision=4)
+
+
+def test_the_evaluator_calls_the_kernel_through_module_globals(monkeypatch):
+    # perfbench's tracer counts evaluator calls by swapping these attributes
+    calls = Counter()
+    for name in ("add", "sub", "mul", "inverse"):
+        def counted(*args, _name=name, _kernel=getattr(dsl, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(dsl, name, counted)
+    env = {name: make_real(k) for k, name in enumerate("abcde", start=1)}
+    assert evaluate(parse_text("a - b + c*d/e"), env) == make_real(F(7, 5))
+    assert calls == {"add": 1, "sub": 1, "mul": 2, "inverse": 1}
 
 
 def test_unbound_variable_reports_name_and_position():
@@ -344,11 +441,15 @@ def test_evaluation_is_a_homomorphism_on_polynomial_trees(tree, q):
         if isinstance(node, Var):
             return make_real(q)
         if isinstance(node, Add):
-            return add(by_hand(node.left), by_hand(node.right))
-        if isinstance(node, Sub):
-            return sub(by_hand(node.left), by_hand(node.right))
+            value = by_hand(node.args[0])
+            for op, arg in zip(node.ops, node.args[1:]):
+                value = (add if op == "+" else sub)(value, by_hand(arg))
+            return value
         if isinstance(node, Mul):
-            return mul(by_hand(node.left), by_hand(node.right))
+            value = by_hand(node.args[0])
+            for arg in node.args[1:]:
+                value = mul(value, by_hand(arg))
+            return value
         if isinstance(node, Neg):
             return sub(make_real(0), by_hand(node.arg))
         if isinstance(node, Pow):
@@ -426,6 +527,33 @@ def test_canonicalize_rejects_identically_zero_denominators():
     assert isinstance(rf, RationalForm)
 
 
+@pytest.mark.parametrize(
+    "source, position", [("1/(x - x)/(y - y)", 9), ("(x - x)^-1/(y - y)", 10)]
+)
+def test_canonicalize_checks_a_chains_divisors_right_to_left(source, position):
+    # as the nested binary nodes did, so the same zero divisor is reported
+    with pytest.raises(DivisionByZero) as info:
+        canonicalize(parse_text(source))
+    assert info.value.position == position
+
+
+@given(expressions(max_leaves=4))
+def test_canonical_renders_parse_back(tree):
+    try:
+        form = canonicalize(tree)
+    except DivisionByZero:
+        assume(False)
+    assert canonicalize(parse_text(form.render()), form.numerator.variables) == form
+
+
+def test_a_render_of_more_than_a_hundred_terms_parses_back():
+    form = canonicalize(parse_text("(x + y + z + w + u)^5"))
+    text = form.render()
+    assert text.count(" + ") == 125 and "·" in text
+    assert to_source(parse_text(text)).count("*") == text.count("·")
+    assert canonicalize(parse_text(text), form.numerator.variables) == form
+
+
 @given(expressions(names=("x", "y"), allow_units=False), rationals, rationals)
 def test_canonical_form_evaluates_like_the_tree(tree, qx, qy):
     try:
@@ -446,7 +574,7 @@ def test_canonical_form_evaluates_like_the_tree(tree, qx, qy):
 
 @given(expressions(names=("x",), allow_units=False, max_leaves=4))
 def test_syntactically_shuffled_trees_share_a_canonical_form(tree):
-    doubled = Sub(Mul(Const(F(2)), tree), tree)
+    doubled = Add((Mul((Const(F(2)), tree), "*"), tree), "-")
     try:
         assert canonicalize(doubled, ("x",)) == canonicalize(tree, ("x",))
     except DivisionByZero:
