@@ -75,6 +75,7 @@ __all__ = [
     "Neg",
     "RESERVED_WORDS",
     "MAX_DEPTH",
+    "MAX_VARIABLES",
     "tokenize",
     "parse",
     "parse_text",
@@ -96,6 +97,10 @@ RESERVED_WORDS = frozenset({"eps", "H", "sqrt", "st"})
 # inside Python's default recursion limit of 1000 frames, a parenthesis
 # level costing the parser six and the tree walkers at most four.
 MAX_DEPTH = 100
+
+# Every canonical monomial carries one exponent per variable, so the parser
+# also rejects an expression's distinct variable names past this count.
+MAX_VARIABLES = 100
 
 _SINGLE_CHAR_TOKENS = {
     "+": "plus",
@@ -277,6 +282,7 @@ class _Parser:
         self.index = 0
         self.length = length
         self.nesting = 0
+        self.names: set[str] = set()
 
     def peek(self, offset: int = 0) -> Token | None:
         i = self.index + offset
@@ -408,6 +414,13 @@ class _Parser:
                 self.expect("rparen", "')'")
                 cls = Sqrt if name == "sqrt" else St
                 return cls(inner, pos=tok.position)
+            if name not in self.names and len(self.names) == MAX_VARIABLES:
+                raise ParseError(
+                    f"more than {MAX_VARIABLES} distinct variables",
+                    tok.position,
+                    "a variable already used",
+                )
+            self.names.add(name)
             return Var(name, pos=tok.position)
         if tok.kind == "lparen":
             inner = self.nested(self.advance(), self.expr)
@@ -645,27 +658,31 @@ def canonicalize(
         missing = names - set(ordered)
         if missing:
             raise ValueError(f"undeclared variables: {sorted(missing)}")
-    return _canon(expr, ordered)
+    return RationalForm.make(*_canon(expr, ordered))
 
 
-def _canon(node: Expr, variables: tuple[str, ...]) -> RationalForm:
+def _canon(node: Expr, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomial]:
+    """The tree's own fraction ``(N, D)``, never reduced.  A sum adds a
+    term whose denominator equals the running one straight into ``N``, so
+    repeated denominators do not swell; ``D`` is a product of ``H``s and
+    of divisors' numerators, each checked to be nonzero."""
+    one = Polynomial.const(variables, 1)
     if isinstance(node, Const):
-        return RationalForm.const(variables, node.value)
+        return Polynomial.const(variables, node.value), one
     if isinstance(node, Var):
-        return RationalForm.variable(variables, node.name)
+        return Polynomial.var(variables, node.name), one
     if isinstance(node, Eps):
-        return RationalForm.make(
-            Polynomial.const(variables, 1), Polynomial.var(variables, "H")
-        )
+        return one, Polynomial.var(variables, "H")
     if isinstance(node, HUnit):
-        return RationalForm.variable(variables, "H")
+        return Polynomial.var(variables, "H"), one
     if isinstance(node, Add):
         args = iter(node.args)
-        form = _canon(next(args), variables)
+        num, den = _canon(next(args), variables)
         for op, arg in zip(node.ops, args):
-            term = _canon(arg, variables)
-            form = form + term if op == "+" else form - term
-        return form
+            n, d = _canon(arg, variables)
+            n = n if op == "+" else -n
+            num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
+        return num, den
     if isinstance(node, Mul):
         # Every divisor first, right to left, as nested binary nodes did,
         # so a chain with several zero divisors reports the same one.
@@ -673,23 +690,27 @@ def _canon(node: Expr, variables: tuple[str, ...]) -> RationalForm:
         for op, arg in zip(reversed(node.ops), reversed(node.args)):
             if op == "/":
                 at = next(slashes, node.pos)
-                divisors.append(_canon(arg, variables))
-                if divisors[-1].is_zero:
+                n, d = _canon(arg, variables)
+                if n.is_zero:
                     raise DivisionByZero("denominator is identically zero", at)
+                divisors.append((d, n))
         args = iter(node.args)
-        form = _canon(next(args), variables)
+        num, den = _canon(next(args), variables)
         for op, arg in zip(node.ops, args):
-            form = form * _canon(arg, variables) if op == "*" else form / divisors.pop()
-        return form
+            n, d = _canon(arg, variables) if op == "*" else divisors.pop()
+            num, den = num * n, den * d
+        return num, den
     if isinstance(node, Pow):
-        base = _canon(node.base, variables)
-        if node.exponent < 0 and base.is_zero:
+        num, den = _canon(node.base, variables)
+        if node.exponent < 0 and num.is_zero:
             raise DivisionByZero(
                 "negative power of an identically zero base", node.pos
             )
-        return base**node.exponent
+        k = abs(node.exponent)
+        return (den**k, num**k) if node.exponent < 0 else (num**k, den**k)
     if isinstance(node, Neg):
-        return -_canon(node.arg, variables)
+        num, den = _canon(node.arg, variables)
+        return -num, den
     raise NonRationalNode("not a rational node", getattr(node, "pos", -1))
 
 
@@ -700,7 +721,7 @@ def _canon(node: Expr, variables: tuple[str, ...]) -> RationalForm:
 class TransferReport:
     """Outcome of an identity check across the assignable/inassignable divide.
 
-    ``identity`` is the canonical-form verdict.  Each sample entry is
+    ``identity`` is the exact rational-function verdict.  Each sample entry is
     ``{"point": {name: rendered value}, "agree": bool | None}`` with
     ``None`` marking a point that kept hitting vanishing denominators.
     ``counterexample`` is a concrete finite witness when the verdict is
@@ -797,15 +818,16 @@ def _find_counterexample(e1, e2, names, precision, difference):
     """The first point of the candidate grid, in ``itertools.product``
     order (first name slowest), where the trees disagree, or ``None``.
 
-    ``difference`` is ``N1·D2 - N2·D1`` of the two canonical forms, whose
-    leading variables are ``names``.  The walk fixes one name at a time
-    and skips each subgrid on which the partly substituted difference is
-    identically zero.  That is exact: where a tree has no pole it equals
-    its reduced form (whose denominator divides the tree's unreduced
-    one), so the sides can disagree only where the difference is
-    nonzero.  The other points are still judged by the trees, so poles
-    and truncated series behave as in a full walk and the first witness
-    is the same.
+    ``difference`` is ``N1·D2 - N2·D1`` of the trees' unreduced
+    fractions, whose leading variables are ``names``.  The walk fixes one
+    name at a time and skips each subgrid on which the partly substituted
+    difference is identically zero.  That is exact: at a pole-free point
+    each unreduced denominator is nonzero and the tree equals ``N/D``, so
+    the sides can disagree only where the difference is nonzero.  A
+    subgrid on which only a factor shared by some ``N`` and ``D``
+    vanishes is all poles, which a full walk skips too.  The other
+    points are still judged by the trees, so poles and truncated series
+    behave as in a full walk and the first witness is the same.
     """
 
     def walk(rest, values):
@@ -848,18 +870,22 @@ def identities_transfer_check(
     Deterministic for a given seed; points whose denominators vanish
     are redrawn, up to a cap, then marked inconclusive.
 
-    A non-identity's witness is the first point of a fixed grid where
-    the sides disagree.  The search skips each subgrid on which the
-    canonical difference ``N1·D2 - N2·D1`` vanishes identically: where
-    neither tree has a pole each equals its reduced form, so no witness
-    lies there, and the grid order, hence the witness, is unchanged.
+    The verdict is whether ``N1·D2 - N2·D1`` vanishes, for the trees'
+    unreduced fractions ``N/D``; no gcd is taken.  A non-identity's
+    witness is the first point of a fixed grid where the sides disagree.
+    The search skips each subgrid on which that difference vanishes
+    identically: no pole-free point lies there where the sides differ, so
+    the grid order, hence the witness, is unchanged.
     """
     names = free_variables(e1) | free_variables(e2)
     include_h = uses_units(e1) or uses_units(e2)
     ordered = order_variables(names, include_h=include_h)
-    form1 = canonicalize(e1, ordered)
-    form2 = canonicalize(e2, ordered)
-    identity = form1 == form2
+    _ensure_rational(e1)
+    n1, d1 = _canon(e1, ordered)
+    _ensure_rational(e2)
+    n2, d2 = _canon(e2, ordered)
+    difference = n1 * d2 - n2 * d1
+    identity = difference.is_zero
     sample_names = sorted(names)
     rng = random.Random(seed)
     finite = tuple(
@@ -870,14 +896,9 @@ def identities_transfer_check(
         _sample_once(e1, e2, sample_names, _draw_mixed, rng, precision)
         for _ in range(trials)
     )
-    counterexample = None
-    if not identity:
-        difference = (
-            form1.numerator * form2.denominator - form2.numerator * form1.denominator
-        )
-        counterexample = _find_counterexample(
-            e1, e2, sample_names, precision, difference
-        )
+    counterexample = None if identity else _find_counterexample(
+        e1, e2, sample_names, precision, difference
+    )
     return TransferReport(
         identity=identity,
         finite_samples=finite,

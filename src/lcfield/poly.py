@@ -399,18 +399,6 @@ class RationalForm:
             denominator = -denominator
         return cls(numerator, denominator)
 
-    @classmethod
-    def const(cls, variables: tuple[str, ...], value: Fraction | int) -> "RationalForm":
-        return cls.make(
-            Polynomial.const(variables, value), Polynomial.const(variables, 1)
-        )
-
-    @classmethod
-    def variable(cls, variables: tuple[str, ...], name: str) -> "RationalForm":
-        return cls.make(
-            Polynomial.var(variables, name), Polynomial.const(variables, 1)
-        )
-
     @property
     def is_polynomial(self) -> bool:
         return self.denominator.is_constant
@@ -418,18 +406,6 @@ class RationalForm:
     @property
     def is_zero(self) -> bool:
         return self.numerator.is_zero
-
-    def __add__(self, other: "RationalForm") -> "RationalForm":
-        return RationalForm.make(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __sub__(self, other: "RationalForm") -> "RationalForm":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalForm":
-        return RationalForm(-self.numerator, self.denominator)
 
     def __mul__(self, other: "RationalForm") -> "RationalForm":
         return RationalForm.make(
@@ -443,11 +419,6 @@ class RationalForm:
 
     def __truediv__(self, other: "RationalForm") -> "RationalForm":
         return self * other.invert()
-
-    def __pow__(self, n: int) -> "RationalForm":
-        if n < 0:
-            return self.invert() ** (-n)
-        return RationalForm.make(self.numerator**n, self.denominator**n)
 
     def render(self) -> str:
         if self.denominator == Polynomial.const(self.denominator.variables, 1):

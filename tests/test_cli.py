@@ -22,6 +22,7 @@ from lcfield.cli import (
     parse_bindings,
     run,
 )
+from lcfield.dsl import MAX_VARIABLES
 
 RATIONAL = r"^-?\d+(/\d+)?$"
 
@@ -441,6 +442,32 @@ def test_transfer_past_the_depth_bound_exits_two(capsys, tmp_path, source, value
     assert code == 2
     assert out == ""
     assert err.startswith("line 2: ") and "position" in err
+
+
+def _sum_of_variables(count):
+    return " + ".join(f"v{i}" for i in range(count))
+
+
+@pytest.mark.parametrize("rest", [(), ("v0", "1")], ids=["eval", "diff"])
+def test_more_distinct_variables_than_the_cap_exit_two(capsys, rest):
+    source = _sum_of_variables(MAX_VARIABLES + 1)
+    command = "diff" if rest else "eval"
+    code, out, err = invoke(capsys, command, source, *rest)
+    assert (code, out) == (2, "")
+    position = source.index(f"v{MAX_VARIABLES}")
+    assert err == (
+        f"error: more than {MAX_VARIABLES} distinct variables (at position {position})\n"
+    )
+
+
+def test_transfer_takes_the_variable_cap_and_rejects_one_more(capsys, tmp_path):
+    names = _sum_of_variables(MAX_VARIABLES)
+    backwards = " + ".join(reversed(names.split(" + ")))
+    code, out, err = invoke(capsys, "transfer", corpus(tmp_path, f"{names} == {backwards}\n"))
+    assert (code, err) == (0, "") and out.startswith("[PASS]")
+    code, out, err = invoke(capsys, "transfer", corpus(tmp_path, f"{names} + w == w\n"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"line 1: more than {MAX_VARIABLES} distinct variables")
 
 
 def test_transfer_passes_an_expansion_of_more_than_a_hundred_terms(capsys, tmp_path):

@@ -7,6 +7,7 @@ import sys
 import types
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from lcfield import (
 )
 from lcfield.dsl import (
     MAX_DEPTH,
+    MAX_VARIABLES,
     Add,
     Const,
     Eps,
@@ -222,6 +224,24 @@ def test_nesting_past_the_depth_bound_is_a_parse_error(source, position):
     assert info.value.position == position
 
 
+def _continuant(n: int) -> str:
+    # K_n = x*K_(n-1) + K_(n-2): the numerator of a continued fraction
+    # with n partial quotients x, whose coefficients are binomials
+    return " + ".join(
+        f"{comb(n - k, k)}*x^{n - 2 * k}" for k in range(n // 2 + 1)
+    )
+
+
+def _nested_quotients(levels: int) -> str:
+    source = "x"
+    for k in range(1, levels + 1):
+        source = f"({source}/(y + {k}))*(y + {k})"
+    return source
+
+
+CONTINUED_FRACTION = "x" + " + 1/(x" * 29 + ")" * 29
+
+
 @pytest.mark.parametrize(
     "source, same",
     [
@@ -229,8 +249,9 @@ def test_nesting_past_the_depth_bound_is_a_parse_error(source, position):
         ("(" * (MAX_DEPTH - 1) + "x" + " + 1)" * (MAX_DEPTH - 1), f"x + {MAX_DEPTH - 1}"),
         ("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, "x"),
         ("-" * (MAX_DEPTH - 1) + "x", "-x"),
+        (CONTINUED_FRACTION, f"({_continuant(30)})/({_continuant(29)})"),
     ],
-    ids=["flat_sum", "nested_sums", "parentheses", "negations"],
+    ids=["flat_sum", "nested_sums", "parentheses", "negations", "continued_fraction"],
 )
 def test_a_tree_at_the_depth_bound_evaluates_prints_and_canonicalizes(source, same):
     tree, reference = parse_text(source), parse_text(same)
@@ -245,16 +266,42 @@ def test_a_tree_at_the_depth_bound_evaluates_prints_and_canonicalizes(source, sa
     [
         (" + ".join(["x - 1"] * 5000), "5000*x - 5000", 10_000),
         ("*".join(["x/2"] * 1000), "x^1000/2^1000", 2000),
+        # twelve parenthesized levels of /(y + k) *(y + k), extended into
+        # one chain: its unreduced fraction is x·P/P, reduced once
+        (_nested_quotients(12), "x", 25),
     ],
-    ids=["sum_of_10000", "product_of_2000"],
+    ids=["sum_of_10000", "product_of_2000", "nested_quotients"],
 )
 def test_a_chain_of_any_length_is_one_level_deep(source, same, operands):
     tree, reference = parse_text(source), parse_text(same)
     assert len(tree.args) == operands
-    env = {"x": make_real(F(3, 2))}
+    env = {"x": make_real(F(3, 2)), "y": make_real(F(1, 3))}
     assert evaluate(tree, env) == evaluate(reference, env)
     assert parse_text(to_source(tree)) == tree
-    assert canonicalize(tree) == canonicalize(reference)
+    form = canonicalize(tree)
+    assert canonicalize(reference, form.numerator.variables) == form
+
+
+def test_a_repeated_denominator_is_not_multiplied_in_again():
+    # cross-multiplying every term would give a denominator of degree 120
+    tree = parse_text(" + ".join(["1/(x*y + z + 1)"] * 60))
+    _, den = dsl._canon(tree, ("x", "y", "z"))
+    assert den.total_degree == 2
+    assert canonicalize(tree).render() == "(60) / (x·y + z + 1)"
+
+
+@pytest.mark.parametrize("count", [MAX_VARIABLES, MAX_VARIABLES + 1])
+def test_distinct_variables_past_the_cap_are_a_parse_error(count):
+    source = " + ".join(f"v{i}" for i in range(count)) + " + v0*v1"
+    if count <= MAX_VARIABLES:
+        assert len(canonicalize(parse_text(source)).numerator.variables) == count
+        # repeated names and the reserved words do not count
+        assert len(free_variables(parse_text(f"{source} + sqrt(eps*H) + st(v1)"))) == count
+        return
+    with pytest.raises(ParseError) as info:
+        parse_text(source)
+    assert str(info.value).startswith(f"more than {MAX_VARIABLES} distinct variables")
+    assert info.value.position == source.index(f"v{MAX_VARIABLES}")
 
 
 def _nested(opener: str, depth: int) -> str:

@@ -4,13 +4,29 @@ The gcd and normalization paths are cross-checked against sympy, which
 plays no part in the runtime code.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from lcfield import DivisionByZero
+from lcfield.dsl import (
+    Add,
+    Const,
+    Eps,
+    HUnit,
+    Mul,
+    Neg,
+    Pow,
+    Var,
+    canonicalize,
+    parse_text,
+)
 from lcfield.poly import Polynomial, RationalForm, poly_gcd
+
+from _gen import expressions
 
 F = Fraction
 XY = ("x", "y")
@@ -274,10 +290,12 @@ def test_zero_numerator_collapses_to_canonical_zero():
 
 
 def test_zero_denominator_is_rejected():
+    one = RationalForm.make(Polynomial.const(XY, 1), Polynomial.const(XY, 1))
+    zero = RationalForm.make(Polynomial.zero(XY), Polynomial.const(XY, 1))
     with pytest.raises(ZeroDivisionError):
         RationalForm.make(Polynomial.const(XY, 1), Polynomial.zero(XY))
     with pytest.raises(ZeroDivisionError):
-        RationalForm.const(XY, 1).invert().invert() / RationalForm.const(XY, 0)
+        one.invert().invert() / zero
 
 
 @given(polynomials(nonzero=True), polynomials(nonzero=True))
@@ -290,25 +308,25 @@ def test_construction_routes_agree(a, d):
 
 
 @given(
-    polynomials(max_degree=2, max_terms=3),
-    polynomials(max_degree=2, max_terms=3, nonzero=True),
-    polynomials(max_degree=2, max_terms=3),
-    polynomials(max_degree=2, max_terms=3, nonzero=True),
+    expressions(names=XY, allow_units=False, max_leaves=3),
+    expressions(names=XY, allow_units=False, max_leaves=3),
 )
-def test_field_laws_on_fractions(a, b, c, d):
-    x = RationalForm.make(a, b)
-    y = RationalForm.make(c, d)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert x - x == RationalForm.const(XY, 0)
+def test_field_laws_on_fractions(s, t):
+    # sums through the canonicalizer; products and quotients also through
+    # the reduced forms' own operators, which must agree with it
+    try:
+        x, y = canonicalize(s, XY), canonicalize(t, XY)
+    except DivisionByZero:
+        assume(False)
+    assert canonicalize(Add((s, t), "+"), XY) == canonicalize(Add((t, s), "+"), XY)
+    assert canonicalize(Add((s, s), "-"), XY).is_zero
+    assert canonicalize(Mul((s, t), "*"), XY) == x * y == y * x
     if not y.is_zero:
-        assert (x / y) * y == x
+        assert canonicalize(Mul((s, t, t), "/*"), XY) == (x / y) * y == x
 
 
 def test_invariants_hold_after_arithmetic():
-    x = RationalForm.variable(XY, "x")
-    y = RationalForm.variable(XY, "y")
-    rf = (x + y) / (x - y) + (x - y) / (x + y)
+    rf = canonicalize(parse_text("(x + y)/(x - y) + (x - y)/(x + y)"))
     assert poly_gcd(rf.numerator, rf.denominator) == Polynomial.const(XY, 1)
     assert rf.denominator.leading_coefficient > 0
     assert rf.numerator.content().denominator == 1
@@ -316,11 +334,53 @@ def test_invariants_hold_after_arithmetic():
 
 
 def test_render_forms():
-    x = RationalForm.variable(XY, "x")
-    y = RationalForm.variable(XY, "y")
-    assert (x + y).render() == "x + y"
-    assert (x / y).render() == "(x) / (y)"
-    assert RationalForm.const(XY, 0).render() == "0"
+    assert canonicalize(parse_text("x + y")).render() == "x + y"
+    assert canonicalize(parse_text("x / y")).render() == "(x) / (y)"
+    assert canonicalize(parse_text("x - x"), XY).render() == "0"
+
+
+def tree_to_sympy(node, symbols):
+    """The syntax tree as a sympy expression, with eps read as ``1/H``."""
+    if isinstance(node, Const):
+        return sympy.Rational(node.value.numerator, node.value.denominator)
+    if isinstance(node, Var):
+        return symbols[node.name]
+    if isinstance(node, Eps):
+        return 1 / symbols["H"]
+    if isinstance(node, HUnit):
+        return symbols["H"]
+    if isinstance(node, Neg):
+        return -tree_to_sympy(node.arg, symbols)
+    if isinstance(node, Pow):
+        return tree_to_sympy(node.base, symbols) ** node.exponent
+    apply = {
+        "+": lambda a, b: a + b,
+        "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b,
+        "/": lambda a, b: a / b,
+    }
+    value = tree_to_sympy(node.args[0], symbols)
+    for op, arg in zip(node.ops, node.args[1:]):
+        value = apply[op](value, tree_to_sympy(arg, symbols))
+    return value
+
+
+@given(expressions(names=XY))
+def test_canonical_forms_are_reduced_and_match_sympy(tree):
+    try:
+        rf = canonicalize(tree, XY)
+    except DivisionByZero:
+        assume(False)
+    variables = rf.numerator.variables
+    symbols = {name: sympy.Symbol(name) for name in variables}
+    ordered = tuple(symbols.values())
+    num, den = to_sympy(rf.numerator, ordered), to_sympy(rf.denominator, ordered)
+    assert sympy.cancel(tree_to_sympy(tree, symbols) - num / den) == 0
+    assert sympy.gcd(num, den) == 1
+    assert rf.denominator.leading_coefficient > 0
+    coefficients = [c for _, c in rf.numerator.terms + rf.denominator.terms]
+    assert all(c.denominator == 1 for c in coefficients)
+    assert math.gcd(*(c.numerator for c in coefficients)) == 1
 
 
 def test_polynomial_render_spot_checks():

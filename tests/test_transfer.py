@@ -3,6 +3,7 @@ both sides of the assignable divide."""
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,11 @@ from lcfield import (
     make_real,
     parse_text,
 )
+from lcfield import poly
+from lcfield.cli import main
 from lcfield.dsl import NonRationalNode, identities_transfer_check
+
+CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
 
 def check(lhs: str, rhs: str, **kwargs):
@@ -180,7 +185,9 @@ def exhaustive_counterexample(e1, e2, names, precision):
 def non_identities(draw):
     """``(lhs, rhs, precision)``: rhs adds to lhs a product of linear
     factors that vanish on whole grid planes, sometimes with a removable
-    pole (``x/x``) or a real one (``1/(x - 1)``) and with eps/H.
+    pole (``x/x`` or ``(x - 1)/(x - 1)``) or a real one (``1/(x - 1)``)
+    and with eps/H.  A removable factor stays in the unreduced
+    difference, so it vanishes on a plane of poles.
 
     Truncation can hide the difference at every point, and then the walk
     covers the whole grid; that case is drawn in one variable only, where
@@ -201,10 +208,12 @@ def non_identities(draw):
     ]
     scales = ("1", "3/2", "eps", "H") + (("eps^9",) if low_precision else ())
     lhs, rhs = base, f"{base} + {'*'.join(factors)}*{pick(scales)}"
-    pole = pick(("none", "removable", "real"))
+    pole = pick(("none", "removable", "removable_at_one", "real"))
     v = pick(names)
     if pole == "removable":
         lhs = f"({lhs})*{v}/{v}"
+    elif pole == "removable_at_one":
+        lhs = f"({lhs})*({v} - 1)/({v} - 1)"
     elif pole == "real":
         lhs, rhs = f"{lhs} + 1/({v} - 1)", f"{rhs} + 1/({v} - 1)"
     precision = pick((2, 4, 16)) if low_precision else 16
@@ -243,3 +252,24 @@ def test_witness_search_skips_the_subgrids_where_the_difference_vanishes(
         "rhs": "0",
     }
     assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("corpus", ["identities.txt", "non_identities.txt"])
+def test_transfer_takes_no_gcd(monkeypatch, capsys, corpus):
+    # the verdict and the witness search both use the cross-multiplied
+    # difference of the unreduced fractions
+    gcd, calls = poly.poly_gcd, []
+
+    def counting(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(poly, "poly_gcd", counting)
+    dsl.canonicalize(parse_text("x/x"))
+    assert calls, "the counter does not see canonicalize's gcd"
+    calls.clear()
+    code = main(["transfer", str(CORPORA / corpus)])
+    out, err = capsys.readouterr()
+    assert (code, err) == ((0, "") if corpus == "identities.txt" else (4, ""))
+    assert "checked" in out
+    assert calls == []
