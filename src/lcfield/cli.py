@@ -23,6 +23,7 @@ from .core import (
     Classification,
     LCError,
     LCNumber,
+    check_printable,
     classify,
     standard_part,
 )
@@ -39,7 +40,6 @@ from .dsl import (
     parse_text,
 )
 from .gallery import (
-    ChainBroken,
     ellipse_parabola_report,
     infinitesimal_equality_report,
     parallel_lines_report,
@@ -67,10 +67,15 @@ class UsageError(ValueError):
     """Bad command-line input that is not a DSL parse error."""
 
 
+# Series work grows with the square of the precision; at this bound a
+# one-line ``eval`` still answers in about a second.
+MAX_PRECISION = 1000
+
+
 def _positive_precision(text: str) -> int:
     value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("precision must be at least 2")
+    if not 2 <= value <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"precision must be from 2 to {MAX_PRECISION}")
     return value
 
 
@@ -101,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=_positive_precision,
         default=DEFAULT_PRECISION,
-        help="relative truncation order (default 16, minimum 2)",
+        help=f"relative truncation order (default 16, 2 to {MAX_PRECISION})",
     )
     common.add_argument(
         "--format",
@@ -193,7 +198,7 @@ def evaluate_bindings(
 
 def _render_value_text(value: LCNumber, out: TextIO) -> None:
     kind = classify(value)
-    print(f"{value.render()} ({kind.value})", file=out)
+    print(f"{check_printable(value).render()} ({kind.value})", file=out)
     if kind is not Classification.INFINITE:
         print(f"shadow: {standard_part(value)}", file=out)
 
@@ -213,7 +218,7 @@ def cmd_eval(args, out: TextIO) -> int:
     env = evaluate_bindings(parse_bindings(args.bind), args.precision)
     value = evaluate(parse_text(args.expr), env, args.precision)
     if args.format == "json":
-        print(json.dumps(value.to_json()), file=out)
+        print(json.dumps(check_printable(value).to_json()), file=out)
     else:
         _render_value_text(value, out)
     return 0
@@ -224,6 +229,7 @@ def cmd_diff(args, out: TextIO) -> int:
     result = derivative_at(
         parse_text(args.expr), args.var, args.point, env, args.precision
     )
+    check_printable(result.quotient)  # its shadow and superfluous part too
     if args.format == "json":
         print(json.dumps(_diff_json(result)), file=out)
     else:
@@ -255,10 +261,7 @@ def _gallery_report(args) -> GalleryReport:
 def cmd_gallery(args, out: TextIO) -> int:
     if args.csv and args.example_id != "ellipse_parabola":
         raise UsageError("--csv applies only to ellipse_parabola")
-    try:
-        report = _gallery_report(args)
-    except ChainBroken as exc:
-        report = exc.report
+    report = _gallery_report(args)
     if args.format == "json":
         print(json.dumps(report.to_json()), file=out)
     else:

@@ -62,9 +62,17 @@ __all__ = [
     "is_infinitely_close",
     "tlh_reduce",
     "agrees_to_guaranteed_order",
+    "MAX_DIGITS",
+    "check_printable",
 ]
 
 DEFAULT_PRECISION = 16
+
+# CPython turns an int of more than 4300 digits into text only if
+# sys.set_int_max_str_digits allows it, so number literals and printed
+# numerators, denominators and exponents are held to this many digits.
+MAX_DIGITS = 4000
+_DIGIT_BOUND = 10**MAX_DIGITS
 
 # Assignable quantities are exact rationals throughout.
 Rational = Fraction
@@ -585,3 +593,11 @@ def agrees_to_guaranteed_order(a: LCNumber, b: LCNumber) -> bool:
     left = {e: c for e, c in a.terms if e < bound}
     right = {e: c for e, c in b.terms if e < bound}
     return left == right
+
+
+def check_printable(value: LCNumber) -> LCNumber:
+    """``value``, unless a number in it has more than MAX_DIGITS digits."""
+    numbers = (n for term in value for q in term for n in (q.numerator, q.denominator))
+    if any(abs(n) >= _DIGIT_BOUND for n in numbers):
+        raise LCError(f"value has a number of more than {MAX_DIGITS} digits")
+    return value

@@ -39,11 +39,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (
     DEFAULT_PRECISION,
+    MAX_DIGITS,
     DivisionByZero,
     LCError,
     LCNumber,
     add,
     agrees_to_guaranteed_order,
+    check_printable,
     make_monomial,
     make_real,
     mul,
@@ -171,7 +173,10 @@ def tokenize(source: str) -> list[Token]:
                     raise LexError("malformed number", i)
                 while i < n and source[i].isdigit():
                     i += 1
-            tokens.append(Token("number", source[start:i], start))
+            text = source[start:i]
+            if len(text.replace(".", "")) > MAX_DIGITS:
+                raise LexError(f"number longer than {MAX_DIGITS} digits", start)
+            tokens.append(Token("number", text, start))
             continue
         if ch.isalpha():
             start = i
@@ -846,8 +851,8 @@ def _find_counterexample(e1, e2, names, precision, difference):
             return None
         return {
             "point": {n: str(v) for n, v in zip(names, values)},
-            "lhs": sides[0].render(),
-            "rhs": sides[1].render(),
+            "lhs": check_printable(sides[0]).render(),
+            "rhs": check_printable(sides[1]).render(),
         }
 
     return walk(difference, ())

@@ -37,16 +37,15 @@ from .core import (
     tlh_reduce,
 )
 from .dsl import Expr, canonicalize, evaluate, parse_text
+from .poly import RationalForm
 from .report import (
     Claim,
     GalleryReport,
     equality_claim,
     judged_claim,
-    merge_reports,
 )
 
 __all__ = [
-    "ChainBroken",
     "DEFAULT_GRID",
     "LINE_THROUGH_INFINITY",
     "ELLIPSE_RADICAL_LHS",
@@ -59,18 +58,6 @@ __all__ = [
     "write_parabola_csv",
     "ellipse_parabola_report",
 ]
-
-
-class ChainBroken(RuntimeError):
-    """A canonical step of the radical-clearing chain failed.
-
-    Carries the claims gathered so far so a caller can still show what
-    held before the break."""
-
-    def __init__(self, step: str, report: GalleryReport):
-        super().__init__(f"chain broken at: {step}")
-        self.step = step
-        self.report = report
 
 
 def _truth_claim(description: str, holds: bool) -> Claim:
@@ -186,7 +173,8 @@ def verify_conic_chain(precision: int = DEFAULT_PRECISION) -> GalleryReport:
     gives ``S1 + S2 + 2R = (H + 2)^2``; isolating ``2R`` and squaring
     again eliminates ``R``; dividing the resulting polynomial by the
     derived cofactor lands exactly on the rational form whose shadow is
-    the parabola.  ChainBroken signals the first canonical mismatch.
+    the parabola.  A failed step is a failed claim; every step is still
+    reported.
     """
     variables = ("R", "x", "y", "H")
     squared_sum = parse_text(
@@ -198,97 +186,71 @@ def verify_conic_chain(precision: int = DEFAULT_PRECISION) -> GalleryReport:
     square_rule_lhs = parse_text("(a + b)^2")
     square_rule_rhs = parse_text("a^2 + b^2 + 2*a*b")
 
-    claims = []
-
-    def broken(step: str) -> ChainBroken:
-        return ChainBroken(step, GalleryReport("ellipse_parabola", (), tuple(claims)))
-
-    rule_ok = canonicalize(square_rule_lhs) == canonicalize(square_rule_rhs)
-    claims.append(
-        _truth_claim(
-            "squaring a two-term sum expands to squares plus twice the product",
-            rule_ok,
-        )
-    )
-    if not rule_ok:
-        raise broken("squaring rule")
-
-    moved = canonicalize(squared_sum, variables) == canonicalize(isolated, variables)
-    claims.append(
-        _truth_claim("isolating the doubled radical is the same relation", moved)
-    )
-    if not moved:
-        raise broken("radical isolation")
-
     # Squaring the isolated radical and substituting R^2 = S1*S2 kills R.
     squared_chain = parse_text(
         "4*(x^2 + y^2)*(x^2 + (y - H)^2)"
         " - ((H + 2)^2 - (x^2 + y^2) - (x^2 + (y - H)^2))^2"
     )
     plane_vars = ("x", "y", "H")
-    chain_form = canonicalize(squared_chain, plane_vars)
-    target_form = canonicalize(parse_text(ELLIPSE_RATIONAL_LHS), plane_vars)
-    cofactor = chain_form / target_form
-    claims.append(
-        judged_claim(
-            "the squared chain divided by the rational form leaves a polynomial cofactor",
-            cofactor,
-            "a polynomial in H with zero remainder",
-            cofactor.is_polynomial,
-        )
+    chain = canonicalize(squared_chain, plane_vars)
+    target = canonicalize(parse_text(ELLIPSE_RATIONAL_LHS), plane_vars)
+    cofactor = RationalForm.make(
+        chain.numerator * target.denominator, chain.denominator * target.numerator
     )
-    if not cofactor.is_polynomial:
-        raise broken("cofactor division")
-    claims.append(
-        equality_claim(
-            "cofactor times the rational form rebuilds the squared chain",
-            target_form * cofactor,
-            chain_form,
-        )
-    )
-    if not claims[-1].passed:
-        raise broken("cofactor reconstruction")
-    claims.append(
-        judged_claim(
-            "recorded cofactor",
-            cofactor,
-            "nonzero polynomial in H",
-            not cofactor.is_zero,
-        )
+    rebuilt = RationalForm.make(
+        target.numerator * cofactor.numerator,
+        target.denominator * cofactor.denominator,
     )
 
     # Finite sanity point: with the far focus at assignable height h = 2
     # the figure is an honest ellipse with vertex (0, -1); both forms
     # close there.  h stands in for H, which always means the infinite
     # unit inside an expression.
-    finite_radical = parse_text("sqrt(x^2 + y^2) + sqrt(x^2 + (y - h)^2)")
-    finite_rational = parse_text("(y + 2 + 2/h)^2 - (x^2 + y^2)*(1 + 4/h + 4/h^2)")
+    finite_radical = parse_text(ELLIPSE_RADICAL_LHS.replace("H", "h"))
+    finite_rational = parse_text(ELLIPSE_RATIONAL_LHS.replace("H", "h"))
     vertex = {
         "x": make_real(0, precision),
         "y": make_real(-1, precision),
         "h": make_real(2, precision),
     }
-    radical_sum = evaluate(finite_radical, vertex, precision)
-    claims.append(
+    claims = (
+        _truth_claim(
+            "squaring a two-term sum expands to squares plus twice the product",
+            canonicalize(square_rule_lhs) == canonicalize(square_rule_rhs),
+        ),
+        _truth_claim(
+            "isolating the doubled radical is the same relation",
+            canonicalize(squared_sum, variables) == canonicalize(isolated, variables),
+        ),
+        judged_claim(
+            "the squared chain divided by the rational form leaves a polynomial cofactor",
+            cofactor,
+            "a polynomial in H with zero remainder",
+            cofactor.is_polynomial,
+        ),
+        equality_claim(
+            "cofactor times the rational form rebuilds the squared chain",
+            rebuilt,
+            chain,
+        ),
+        judged_claim(
+            "recorded cofactor",
+            cofactor,
+            "nonzero polynomial in H",
+            not cofactor.is_zero,
+        ),
         equality_claim(
             "distance sum at the vertex with the far focus at 2",
-            radical_sum,
+            evaluate(finite_radical, vertex, precision),
             make_real(4, precision),
-        )
-    )
-    rational_at_vertex = evaluate(finite_rational, vertex, precision)
-    claims.append(
+        ),
         equality_claim(
             "rational form closes at the vertex with the far focus at 2",
-            rational_at_vertex,
+            evaluate(finite_rational, vertex, precision),
             make_real(0, precision),
-        )
+        ),
     )
-    report = GalleryReport("ellipse_parabola", (), tuple(claims))
-    if not report.passed:
-        failing = next(c for c in report.claims if not c.passed)
-        raise ChainBroken(failing.description, report)
-    return report
+    return GalleryReport("ellipse_parabola", (), claims)
 
 
 def _parabola_height(x: Fraction) -> Fraction:
@@ -380,8 +342,6 @@ def ellipse_parabola_report(
     xs: Sequence[Fraction] = DEFAULT_GRID, precision: int = DEFAULT_PRECISION
 ) -> GalleryReport:
     """The radical-clearing chain followed by the shadow grid."""
-    return merge_reports(
-        "ellipse_parabola",
-        verify_conic_chain(precision),
-        parabola_shadow_report(xs, precision),
-    )
+    chain = verify_conic_chain(precision)
+    grid = parabola_shadow_report(xs, precision)
+    return GalleryReport("ellipse_parabola", grid.parameters, chain.claims + grid.claims)

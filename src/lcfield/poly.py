@@ -407,19 +407,6 @@ class RationalForm:
     def is_zero(self) -> bool:
         return self.numerator.is_zero
 
-    def __mul__(self, other: "RationalForm") -> "RationalForm":
-        return RationalForm.make(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    def invert(self) -> "RationalForm":
-        if self.numerator.is_zero:
-            raise ZeroDivisionError("inverse of the zero rational form")
-        return RationalForm.make(self.denominator, self.numerator)
-
-    def __truediv__(self, other: "RationalForm") -> "RationalForm":
-        return self * other.invert()
-
     def render(self) -> str:
         if self.denominator == Polynomial.const(self.denominator.variables, 1):
             return self.numerator.render()

@@ -19,7 +19,6 @@ __all__ = [
     "format_value",
     "equality_claim",
     "judged_claim",
-    "merge_reports",
 ]
 
 
@@ -103,15 +102,3 @@ class GalleryReport:
         lines.extend(c.render_text() for c in self.claims)
         lines.append("PASS" if self.passed else "FAIL")
         return "\n".join(lines)
-
-
-def merge_reports(example_id: str, *reports: GalleryReport) -> GalleryReport:
-    """One report carrying the claims of several, in order."""
-    parameters: list[str] = []
-    claims: list[Claim] = []
-    for r in reports:
-        for p in r.parameters:
-            if p not in parameters:
-                parameters.append(p)
-        claims.extend(r.claims)
-    return GalleryReport(example_id, tuple(parameters), tuple(claims))

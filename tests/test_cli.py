@@ -15,6 +15,7 @@ import pytest
 import lcfield
 
 from lcfield.cli import (
+    MAX_PRECISION,
     UsageError,
     build_parser,
     load_corpus,
@@ -22,6 +23,7 @@ from lcfield.cli import (
     parse_bindings,
     run,
 )
+from lcfield.core import MAX_DIGITS
 from lcfield.dsl import MAX_VARIABLES
 
 RATIONAL = r"^-?\d+(/\d+)?$"
@@ -156,6 +158,16 @@ def test_eval_precision_below_two_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["eval", "-T", "1", "1"])
     assert info.value.code == 2
+
+
+def test_eval_precision_past_the_cap_is_a_usage_error(capsys):
+    code, out, _ = invoke(capsys, "eval", "-T", str(MAX_PRECISION), "1/(1-eps)")
+    assert code == 0 and out.count("eps^") == MAX_PRECISION - 2
+    for precision in (MAX_PRECISION + 1, 99999999999999999999):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "-T", str(precision), "1/(1-eps)"])
+        assert info.value.code == 2
+        assert f"precision must be from 2 to {MAX_PRECISION}" in capsys.readouterr().err
 
 
 def test_eval_bindings_chain_left_to_right(capsys):
@@ -468,6 +480,53 @@ def test_transfer_takes_the_variable_cap_and_rejects_one_more(capsys, tmp_path):
     code, out, err = invoke(capsys, "transfer", corpus(tmp_path, f"{names} + w == w\n"))
     assert (code, out) == (2, "")
     assert err.startswith(f"line 1: more than {MAX_VARIABLES} distinct variables")
+
+
+LONGEST_LITERAL = "9" * MAX_DIGITS
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [("1 + 9" + LONGEST_LITERAL, 4), ("1" + "0" * 5000, 0)],
+    ids=["one_digit_past_the_cap", "5000_digits"],
+)
+def test_eval_literal_past_the_digit_cap_exits_two(capsys, source, position):
+    code, out, err = invoke(capsys, "eval", LONGEST_LITERAL)
+    assert (code, out, err) == (0, f"{LONGEST_LITERAL} (appreciable)\nshadow: {LONGEST_LITERAL}\n", "")
+    code, out, err = invoke(capsys, "eval", source)
+    assert (code, out) == (2, "")
+    assert err == f"error: number longer than {MAX_DIGITS} digits (at position {position})\n"
+
+
+def test_transfer_reports_a_literal_past_the_digit_cap_as_its_line(capsys, tmp_path):
+    path = corpus(tmp_path, f"x == x\n{'1' + '0' * 5000} == 1\n")
+    code, out, err = invoke(capsys, "transfer", path)
+    assert (code, out) == (2, "")
+    assert err == f"line 2: number longer than {MAX_DIGITS} digits (at position 0)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "10^5000"),
+        ("eval", "--format", "json", f"10^{MAX_DIGITS}"),
+        ("diff", f"10^{MAX_DIGITS}*x", "x", "1"),
+    ],
+    ids=["eval_text", "eval_json", "diff"],
+)
+def test_a_value_past_the_digit_cap_exits_three(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: value has a number of more than {MAX_DIGITS} digits\n"
+    code, out, err = invoke(capsys, "eval", f"10^{MAX_DIGITS - 1}")
+    assert (code, err) == (0, "") and out.startswith("1" + "0" * (MAX_DIGITS - 1) + " ")
+
+
+def test_transfer_counterexample_past_the_digit_cap_exits_three(capsys, tmp_path):
+    path = corpus(tmp_path, f"x == x\n10^{MAX_DIGITS} == 1\n")
+    code, out, err = invoke(capsys, "transfer", path)
+    assert (code, out) == (3, "")
+    assert err == f"error: value has a number of more than {MAX_DIGITS} digits\n"
 
 
 def test_transfer_passes_an_expansion_of_more_than_a_hundred_terms(capsys, tmp_path):

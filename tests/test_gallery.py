@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lcfield import gallery
+from lcfield.cli import main
+from lcfield.dsl import canonicalize, parse_text
 from lcfield.gallery import (
-    ChainBroken,
     DEFAULT_GRID,
     ellipse_parabola_report,
     infinitesimal_equality_report,
@@ -15,7 +17,6 @@ from lcfield.gallery import (
     verify_conic_chain,
     write_parabola_csv,
 )
-from lcfield.report import GalleryReport
 
 from _gen import rationals
 
@@ -140,12 +141,43 @@ def test_conic_chain_vertex_checks():
     assert closing.computed == "0"
 
 
-def test_chain_broken_carries_the_partial_report():
-    partial = GalleryReport("ellipse_parabola", (), ())
-    exc = ChainBroken("cofactor division", partial)
-    assert str(exc) == "chain broken at: cofactor division"
-    assert exc.step == "cofactor division"
-    assert exc.report is partial
+# Each input whose canonical form is swapped for that of ``1``, and the
+# one claim that must then fail.
+BROKEN_STEPS = {
+    "squaring_rule": (
+        "a^2 + b^2 + 2*a*b",
+        "squaring a two-term sum expands to squares plus twice the product",
+    ),
+    "radical_isolation": (
+        "2*R - ((H + 2)^2 - (x^2 + y^2) - (x^2 + (y - H)^2))",
+        "isolating the doubled radical is the same relation",
+    ),
+}
+
+
+@pytest.mark.parametrize("source, description", BROKEN_STEPS.values(), ids=BROKEN_STEPS)
+def test_a_failed_conic_step_is_one_failed_claim_in_the_full_report(
+    monkeypatch, capsys, source, description
+):
+    assert main(["gallery", "ellipse_parabola"]) == 0
+    intact = capsys.readouterr().out.splitlines()
+    broken = parse_text(source)
+
+    def canonicalize_one_step_wrongly(expr, variables=None):
+        if expr == broken:
+            expr = parse_text("1")
+        return canonicalize(expr, variables)
+
+    monkeypatch.setattr(gallery, "canonicalize", canonicalize_one_step_wrongly)
+    assert main(["gallery", "ellipse_parabola"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(intact)
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {description}: ")
+    assert lines[-1] == "FAIL"
+    assert [line for line in lines if line.startswith("[PASS]")] == [
+        line for line in intact if line.startswith("[PASS]") and description not in line
+    ]
 
 
 # -- parabola shadow -------------------------------------------------------

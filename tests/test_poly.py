@@ -30,6 +30,7 @@ from _gen import expressions
 
 F = Fraction
 XY = ("x", "y")
+XYH = ("x", "y", "H")
 
 
 def P(variables, mapping):
@@ -265,6 +266,18 @@ def test_gcd_agrees_with_sympy_up_to_scale(a, b):
     assert quotient.is_constant(sx, sy)
 
 
+@given(
+    polynomials(XYH, max_degree=2, max_terms=3, nonzero=True),
+    polynomials(XYH, max_degree=2, max_terms=3, nonzero=True),
+    polynomials(XYH, max_degree=1, max_terms=3, nonzero=True),
+)
+def test_gcd_agrees_with_sympy_on_three_variables_with_a_planted_factor(a, b, g):
+    symbols = sympy.symbols(XYH)
+    ours = to_sympy(poly_gcd(a * g, b * g), symbols)
+    theirs = sympy.gcd(to_sympy(a * g, symbols), to_sympy(b * g, symbols))
+    assert not sympy.cancel(ours / theirs).free_symbols
+
+
 # -- reduced fractions ---------------------------------------------------------------------
 
 
@@ -289,13 +302,21 @@ def test_zero_numerator_collapses_to_canonical_zero():
     assert rf.denominator == Polynomial.const(XY, 1)
 
 
+def times(a, b):
+    return RationalForm.make(a.numerator * b.numerator, a.denominator * b.denominator)
+
+
+def over(a, b):
+    return RationalForm.make(a.numerator * b.denominator, a.denominator * b.numerator)
+
+
 def test_zero_denominator_is_rejected():
     one = RationalForm.make(Polynomial.const(XY, 1), Polynomial.const(XY, 1))
     zero = RationalForm.make(Polynomial.zero(XY), Polynomial.const(XY, 1))
     with pytest.raises(ZeroDivisionError):
         RationalForm.make(Polynomial.const(XY, 1), Polynomial.zero(XY))
     with pytest.raises(ZeroDivisionError):
-        one.invert().invert() / zero
+        over(one, zero)
 
 
 @given(polynomials(nonzero=True), polynomials(nonzero=True))
@@ -312,17 +333,17 @@ def test_construction_routes_agree(a, d):
     expressions(names=XY, allow_units=False, max_leaves=3),
 )
 def test_field_laws_on_fractions(s, t):
-    # sums through the canonicalizer; products and quotients also through
-    # the reduced forms' own operators, which must agree with it
+    # sums through the canonicalizer; products and quotients also by
+    # reducing the cross products of two reduced forms, which must agree
     try:
         x, y = canonicalize(s, XY), canonicalize(t, XY)
     except DivisionByZero:
         assume(False)
     assert canonicalize(Add((s, t), "+"), XY) == canonicalize(Add((t, s), "+"), XY)
     assert canonicalize(Add((s, s), "-"), XY).is_zero
-    assert canonicalize(Mul((s, t), "*"), XY) == x * y == y * x
+    assert canonicalize(Mul((s, t), "*"), XY) == times(x, y) == times(y, x)
     if not y.is_zero:
-        assert canonicalize(Mul((s, t, t), "/*"), XY) == (x / y) * y == x
+        assert canonicalize(Mul((s, t, t), "/*"), XY) == times(over(x, y), y) == x
 
 
 def test_invariants_hold_after_arithmetic():
