@@ -247,7 +247,10 @@ def _gallery_report(args) -> GalleryReport:
     if args.example_id == "ellipse_parabola":
         report = ellipse_parabola_report(precision=args.precision)
         if args.csv:
-            write_parabola_csv(args.csv, precision=args.precision)
+            try:
+                write_parabola_csv(args.csv, precision=args.precision)
+            except OSError as exc:
+                raise UsageError(str(exc)) from exc
         return report
     return product_rule_report(
         parse_text("x"),

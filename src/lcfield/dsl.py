@@ -163,15 +163,15 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(_SINGLE_CHAR_TOKENS[ch], ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # not isdigit(): int() refuses '²' and '①'
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
             if i < n and source[i] == ".":
                 i += 1
-                if i >= n or not source[i].isdigit():
+                if i >= n or not source[i].isdecimal():
                     raise LexError("malformed number", i)
-                while i < n and source[i].isdigit():
+                while i < n and source[i].isdecimal():
                     i += 1
             text = source[start:i]
             if len(text.replace(".", "")) > MAX_DIGITS:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 __all__ = ["Polynomial", "RationalForm", "poly_gcd"]
 
@@ -24,6 +24,17 @@ _ONE = Fraction(1)
 
 def _grlex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
+
+
+def _content(coefficients: Iterable[Fraction]) -> Fraction:
+    """Positive rational c with every coefficient / c an integer and those
+    integers coprime; 0 when there are no coefficients."""
+    num = 0
+    den = 1
+    for c in coefficients:
+        num = math.gcd(num, c.numerator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +83,8 @@ class Polynomial:
         return not self.terms or sum(self.terms[0][0]) == 0
 
     @property
-    def leading_monomial(self) -> Monomial:
-        return self.terms[0][0]
-
-    @property
     def leading_coefficient(self) -> Fraction:
         return self.terms[0][1] if self.terms else _ZERO
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.terms[0][0]) if self.terms else -1
 
     def constant_value(self) -> Fraction:
         if self.is_zero:
@@ -153,57 +156,37 @@ class Polynomial:
 
     # -- division ----------------------------------------------------------
 
-    def divmod_by(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Single-divisor division in graded-lex order.
+    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
+        """The q with q * divisor == self, by graded-lex division, or ValueError.
 
-        Returns (quotient, remainder) with no remainder term divisible by
-        the divisor's leading monomial; the remainder is zero exactly when
-        the divisor divides self.
+        In a monomial order LT(q·d) = LT(q)·LT(d), so each partial remainder
+        of an exact division has a leading term that LT(divisor) divides.
         """
         self._require_same_variables(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         quot: dict[Monomial, Fraction] = {}
-        rem: dict[Monomial, Fraction] = {}
         work = dict(self.terms)
         dm, dc = divisor.terms[0]
         while work:
             m = max(work, key=_grlex_key)
             c = work.pop(m)
             diff = tuple(x - y for x, y in zip(m, dm))
-            if all(d >= 0 for d in diff):
-                factor = c / dc
-                quot[diff] = quot.get(diff, _ZERO) + factor
-                for m2, c2 in divisor.terms[1:]:
-                    mm = tuple(x + y for x, y in zip(diff, m2))
-                    work[mm] = work.get(mm, _ZERO) - factor * c2
-                    if work[mm] == 0:
-                        del work[mm]
-            else:
-                rem[m] = rem.get(m, _ZERO) + c
-        return (
-            Polynomial.from_dict(self.variables, quot),
-            Polynomial.from_dict(self.variables, rem),
-        )
-
-    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        q, r = self.divmod_by(divisor)
-        if not r.is_zero:
-            raise ValueError("division is not exact")
-        return q
+            if any(d < 0 for d in diff):
+                raise ValueError("division is not exact")
+            factor = quot[diff] = c / dc
+            for m2, c2 in divisor.terms[1:]:
+                mm = tuple(x + y for x, y in zip(diff, m2))
+                work[mm] = work.get(mm, _ZERO) - factor * c2
+                if work[mm] == 0:
+                    del work[mm]
+        return Polynomial.from_dict(self.variables, quot)
 
     # -- content and evaluation ---------------------------------------------
 
     def content(self) -> Fraction:
         """Positive rational c with self = c * (integer-primitive polynomial)."""
-        if self.is_zero:
-            return _ZERO
-        num = 0
-        den = 1
-        for _, c in self.terms:
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return _content(c for _, c in self.terms)
 
     def primitive(self) -> "Polynomial":
         if self.is_zero:
@@ -227,34 +210,24 @@ class Polynomial:
         the result combines with polynomials over the same tuple.
         """
         acc: dict[Monomial, Fraction] = {}
-        for mono, coef in self.terms:
-            k = mono[index]
-            if k:
-                if not value:
-                    continue
-                coef = coef * value**k
-                mono = mono[:index] + (0,) + mono[index + 1:]
-            acc[mono] = acc.get(mono, _ZERO) + coef
+        for k, coeff in self.coefficients_in(index).items():
+            factor = value**k
+            for mono, coef in coeff.terms:
+                acc[mono] = acc.get(mono, _ZERO) + coef * factor
         return Polynomial.from_dict(self.variables, acc)
-
-    def degree_in(self, index: int) -> int:
-        if self.is_zero:
-            return -1
-        return max(m[index] for m, _ in self.terms)
 
     def coefficients_in(self, index: int) -> dict[int, "Polynomial"]:
         """View as a polynomial in variable ``index``: power -> coefficient,
-        each coefficient living in the same variable tuple with that slot zeroed."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        each coefficient living in the same variable tuple with that slot zeroed.
+
+        Zeroing one slot in terms that share its exponent keeps them distinct
+        and in graded-lex order, so each coefficient takes its terms as they come.
+        """
+        buckets: dict[int, list[tuple[Monomial, Fraction]]] = {}
         for mono, coef in self.terms:
-            k = mono[index]
-            reduced = tuple(0 if i == index else e for i, e in enumerate(mono))
-            bucket = buckets.setdefault(k, {})
-            bucket[reduced] = bucket.get(reduced, _ZERO) + coef
-        return {
-            k: Polynomial.from_dict(self.variables, mapping)
-            for k, mapping in buckets.items()
-        }
+            reduced = mono[:index] + (0,) + mono[index + 1:]
+            buckets.setdefault(mono[index], []).append((reduced, coef))
+        return {k: Polynomial(self.variables, tuple(terms)) for k, terms in buckets.items()}
 
     def render(self) -> str:
         if not self.terms:
@@ -288,16 +261,6 @@ class Polynomial:
         return f"Polynomial({self.render()!r})"
 
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 def _normalize_gcd(p: Polynomial) -> Polynomial:
     if p.is_zero:
         return p
@@ -307,36 +270,29 @@ def _normalize_gcd(p: Polynomial) -> Polynomial:
     return p
 
 
-def _active_variables(f: Polynomial, g: Polynomial) -> list[int]:
-    indices = []
-    for i in range(len(f.variables)):
-        if f.degree_in(i) > 0 or g.degree_in(i) > 0:
-            indices.append(i)
-    return indices
-
-
-def _content_in(p: Polynomial, index: int) -> Polynomial:
-    cont = Polynomial.zero(p.variables)
-    for coeff in p.coefficients_in(index).values():
-        cont = poly_gcd(cont, coeff)
-        if cont.is_constant and not cont.is_zero:
+def _content_in(view: dict[int, Polynomial]) -> Polynomial:
+    """gcd of the coefficients in a nonzero polynomial's one-variable view."""
+    first, *rest = view.values()
+    cont = _normalize_gcd(first)
+    for coeff in rest:
+        if cont.is_constant:
             break
-    if cont.is_zero:
-        return Polynomial.const(p.variables, 1)
+        cont = poly_gcd(cont, coeff)
     return cont
 
 
 def _pseudo_rem(f: Polynomial, g: Polynomial, index: int) -> Polynomial:
     """Pseudo-remainder of f by g in variable ``index`` (up to lc(g) powers)."""
-    lc_g = g.coefficients_in(index)[g.degree_in(index)]
-    deg_g = g.degree_in(index)
+    g_view = g.coefficients_in(index)
+    deg_g = max(g_view)
     xvar = Polynomial.var(f.variables, f.variables[index])
     r = f
-    while not r.is_zero and r.degree_in(index) >= deg_g:
-        deg_r = r.degree_in(index)
-        lc_r = r.coefficients_in(index)[deg_r]
-        shift = xvar ** (deg_r - deg_g)
-        r = r * lc_g - g * lc_r * shift
+    while r:
+        r_view = r.coefficients_in(index)
+        deg_r = max(r_view)
+        if deg_r < deg_g:
+            break
+        r = r * g_view[deg_g] - g * r_view[deg_r] * xvar ** (deg_r - deg_g)
     return r
 
 
@@ -346,21 +302,23 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return _normalize_gcd(g)
     if g.is_zero:
         return _normalize_gcd(f)
-    active = _active_variables(f, g)
-    if not active:
+    for index in range(len(f.variables)):
+        f_view, g_view = f.coefficients_in(index), g.coefficients_in(index)
+        if max(f_view) or max(g_view):
+            break
+    else:
         return Polynomial.const(f.variables, 1)
-    index = active[0]
-    cont_f = _content_in(f, index)
-    cont_g = _content_in(g, index)
+    cont_f = _content_in(f_view)
+    cont_g = _content_in(g_view)
     shared = poly_gcd(cont_f, cont_g)
     a = f.exact_div(cont_f)
     b = g.exact_div(cont_g)
-    if a.degree_in(index) < b.degree_in(index):
+    if max(f_view) < max(g_view):
         a, b = b, a
-    while not b.is_zero:
+    while b:
         r = _pseudo_rem(a, b, index)
-        if not r.is_zero:
-            r = r.exact_div(_content_in(r, index)).primitive()
+        if r:
+            r = r.exact_div(_content_in(r.coefficients_in(index))).primitive()
         a, b = b, r
     return _normalize_gcd(shared * _normalize_gcd(a))
 
@@ -391,7 +349,7 @@ class RationalForm:
         common = poly_gcd(numerator, denominator)
         numerator = numerator.exact_div(common)
         denominator = denominator.exact_div(common)
-        joint = _fraction_gcd(numerator.content(), denominator.content())
+        joint = _content(c for _, c in numerator.terms + denominator.terms)
         numerator = numerator.scale(1 / joint)
         denominator = denominator.scale(1 / joint)
         if denominator.leading_coefficient < 0:

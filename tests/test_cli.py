@@ -214,6 +214,19 @@ def test_eval_parse_error_exits_two(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize(
+    "argv, position",
+    [(("eval", "²"), 0), (("diff", "x^²", "x", "1"), 2), (("eval", "-b", "x=²", "x"), 0)],
+    ids=["eval", "diff", "binding"],
+)
+def test_a_digit_that_is_not_decimal_is_an_invalid_character(capsys, argv, position):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid character '²' (at position {position})\n"
+    # Arabic-Indic digits are decimal digits
+    assert invoke(capsys, "eval", "١٢") == (0, "12 (appreciable)\nshadow: 12\n", "")
+
+
 # source -> its value, or None where the nesting is past dsl.MAX_DEPTH.  A
 # sum of any length is one chain, one level deep, so it is accepted.
 TOO_DEEP = {
@@ -359,6 +372,13 @@ def test_gallery_csv_writes_rows(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x0,y0,st_of_lhs"
     assert len(lines) == 8
+
+
+def test_gallery_csv_to_an_unwritable_path_exits_two(capsys, tmp_path):
+    path = tmp_path / "missing" / "rows.csv"
+    code, out, err = invoke(capsys, "gallery", "ellipse_parabola", "--csv", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 def test_gallery_csv_limited_to_the_conic_example(capsys, tmp_path):
@@ -543,6 +563,12 @@ def test_transfer_passes_an_expansion_of_more_than_a_hundred_terms(capsys, tmp_p
     assert out.startswith("[PASS]")
 
 
+def test_transfer_reports_a_digit_that_is_not_decimal_as_its_line(capsys, tmp_path):
+    code, out, err = invoke(capsys, "transfer", corpus(tmp_path, "x == x\n² == 2\n"))
+    assert (code, out) == (2, "")
+    assert err == "line 2: invalid character '²' (at position 0)\n"
+
+
 def test_transfer_missing_file_exits_two(capsys):
     code, _, err = invoke(capsys, "transfer", "/no/such/corpus.txt")
     assert code == 2
@@ -608,6 +634,12 @@ def test_repl_recovers_from_errors(monkeypatch, capsys):
     code, out, err = repl(monkeypatch, capsys, "1 +\n2*3\nquit\n")
     assert code == 0
     assert "error:" in err
+    assert out.splitlines()[0] == "6 (appreciable)"
+
+
+def test_repl_survives_a_digit_that_is_not_decimal(monkeypatch, capsys):
+    code, out, err = repl(monkeypatch, capsys, "²\n2*3\n")
+    assert (code, err) == (0, "error: invalid character '²' (at position 0)\n")
     assert out.splitlines()[0] == "6 (appreciable)"
 
 

@@ -79,7 +79,7 @@ def test_terms_are_stored_in_descending_grlex_order():
 def test_grlex_ranks_total_degree_first():
     # y^3 outranks x^2 despite the alphabetical tie-break inside a degree
     p = P(XY, {(2, 0): 1, (0, 3): 1})
-    assert p.leading_monomial == (0, 3)
+    assert p.terms[0][0] == (0, 3)
 
 
 def test_zero_terms_are_dropped():
@@ -178,35 +178,59 @@ def test_substitute_spot_check():
     assert p.substitute(1, 0) == P(XY, {(1, 0): -3})
 
 
+@given(polynomials(("x", "y", "z")), st.integers(0, 2))
+def test_the_view_in_one_variable_rebuilds_the_polynomial(a, index):
+    x = Polynomial.var(a.variables, a.variables[index])
+    view = a.coefficients_in(index)
+    for coeff in view.values():
+        assert all(mono[index] == 0 for mono, _ in coeff.terms)
+        # built without sorting, so it must already be stored canonically
+        assert coeff == Polynomial.from_dict(a.variables, dict(coeff.terms))
+    assert sum((c * x**k for k, c in view.items()), Polynomial.zero(a.variables)) == a
+
+
 # -- division ------------------------------------------------------------------------
 
 
 def test_divmod_exact_case():
     x2_minus_y2 = P(XY, {(2, 0): 1, (0, 2): -1})
     x_minus_y = P(XY, {(1, 0): 1, (0, 1): -1})
-    q, r = x2_minus_y2.divmod_by(x_minus_y)
-    assert r.is_zero
-    assert q == P(XY, {(1, 0): 1, (0, 1): 1})
-
-
-def test_divmod_with_remainder():
-    p = P(XY, {(2, 0): 1, (0, 0): 1})
-    d = P(XY, {(1, 0): 1, (0, 1): -1})
-    q, r = p.divmod_by(d)
-    assert q * d + r == p
-    assert not r.is_zero
+    assert x2_minus_y2.exact_div(x_minus_y) == P(XY, {(1, 0): 1, (0, 1): 1})
 
 
 def test_exact_div_refuses_inexact():
     p = P(XY, {(2, 0): 1, (0, 0): 1})
     with pytest.raises(ValueError):
         p.exact_div(P(XY, {(1, 0): 1}))
+    with pytest.raises(ValueError):  # x^2 + 1 = (x + y)(x - y) + y^2 + 1, refused at y^2
+        p.exact_div(P(XY, {(1, 0): 1, (0, 1): -1}))
+    with pytest.raises(ZeroDivisionError):
+        p.exact_div(Polynomial.zero(XY))
 
 
-@given(polynomials(max_degree=2), polynomials(max_degree=2, nonzero=True))
-def test_divmod_reconstructs(a, d):
-    q, r = a.divmod_by(d)
-    assert q * d + r == a
+@st.composite
+def dividends_and_divisors(draw):
+    variables = draw(st.sampled_from([XY, ("x", "y", "z")]))
+    d = draw(polynomials(variables, max_degree=2, max_terms=3, nonzero=True))
+    a = draw(polynomials(variables, max_degree=2, max_terms=3)) * d
+    if draw(st.booleans()):
+        a = a + draw(polynomials(variables, max_degree=3, max_terms=2))
+    return a, d
+
+
+@given(dividends_and_divisors())
+def test_exact_div_agrees_with_sympy_on_divisibility(case):
+    a, d = case
+    symbols = sympy.symbols(a.variables)
+    _, rem = sympy.div(
+        sympy.Poly(to_sympy(a, symbols), *symbols, domain="QQ"),
+        sympy.Poly(to_sympy(d, symbols), *symbols, domain="QQ"),
+    )
+    if rem.is_zero:
+        assert a.exact_div(d) * d == a
+    else:
+        with pytest.raises(ValueError):
+            a.exact_div(d)
 
 
 @given(polynomials(max_degree=2), polynomials(max_degree=2, nonzero=True))
@@ -248,10 +272,13 @@ def test_gcd_with_zero():
     polynomials(max_degree=1, max_terms=2, nonzero=True),
 )
 def test_gcd_divides_both_and_sees_planted_factors(a, b, g):
+    def degree(p):  # the graded-lex leading term has the top total degree
+        return sum(p.terms[0][0])
+
     d = poly_gcd(a * g, b * g)
-    assert (a * g).divmod_by(d)[1].is_zero
-    assert (b * g).divmod_by(d)[1].is_zero
-    assert d.divmod_by(poly_gcd(d, g))[0].total_degree + g.total_degree >= d.total_degree
+    (a * g).exact_div(d)  # each raises unless d divides
+    (b * g).exact_div(d)
+    assert degree(d.exact_div(poly_gcd(d, g))) + degree(g) >= degree(d)
 
 
 @given(
