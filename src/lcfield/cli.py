@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .calculus import DiffResult, derivative_at, product_rule_report
+from .calculus import derivative_at, product_rule_report
 from .core import (
     DEFAULT_PRECISION,
     Classification,
@@ -38,6 +37,7 @@ from .dsl import (
     evaluate,
     identities_transfer_check,
     parse_text,
+    tokenize,
 )
 from .gallery import (
     ellipse_parabola_report,
@@ -45,7 +45,6 @@ from .gallery import (
     parallel_lines_report,
     write_parabola_csv,
 )
-from .report import GalleryReport
 
 __all__ = [
     "load_corpus",
@@ -53,18 +52,20 @@ __all__ = [
     "run",
 ]
 
-GALLERY_IDS = (
-    "parallel_lines",
-    "infinitesimal_equality",
-    "ellipse_parabola",
-    "product_rule",
-)
+# Each worked example's report, built at a precision given by keyword.
+GALLERY = {
+    "parallel_lines": parallel_lines_report,
+    "infinitesimal_equality": infinitesimal_equality_report,
+    "ellipse_parabola": ellipse_parabola_report,
+    "product_rule": functools.partial(
+        product_rule_report, parse_text("x"), parse_text("x^2"), "x", 1
+    ),
+}
 
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-
-class UsageError(ValueError):
-    """Bad command-line input that is not a DSL parse error."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad command-line input that is not a DSL parse error.  Raised by an
+    argument's type, argparse reports it as that argument's usage error."""
 
 
 # Series work grows with the square of the precision; at this bound a
@@ -93,6 +94,19 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _name(text: str) -> str:
+    """``text`` as a variable name: text that tokenizes as exactly one
+    identifier that is not a reserved word."""
+    try:
+        tokens = tokenize(text)
+    except LexError as exc:
+        raise UsageError(str(exc)) from exc
+    match tokens:
+        case [token] if token.kind == "identifier" and token.text not in RESERVED_WORDS:
+            return token.text
+    raise UsageError(f"not a variable name: {text.strip()!r}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``lcfield`` argument parser, built once per process.
@@ -100,27 +114,30 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` leaves the parser unchanged (``--bind`` appends to a
     fresh copy of its empty default), so one instance serves every call.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # One parent parser per option: each subcommand lists the options it reads.
+    precision, fmt, seed, bind = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4)
+    )
+    precision.add_argument(
         "-T",
         "--precision",
         type=_positive_precision,
         default=DEFAULT_PRECISION,
         help=f"relative truncation order (default 16, 2 to {MAX_PRECISION})",
     )
-    common.add_argument(
+    fmt.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="output format (default text)",
     )
-    common.add_argument(
+    seed.add_argument(
         "--seed",
         type=_seed_value,
         default=0,
         help="sampling seed for transfer checks (default 0)",
     )
-    common.add_argument(
+    bind.add_argument(
         "-b",
         "--bind",
         action="append",
@@ -135,34 +152,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser(
-        "eval", parents=[common], help="evaluate an expression"
-    )
+    def command(name, handler, options) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, parents=options, help=handler.__doc__)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    p_eval = command("eval", cmd_eval, [precision, fmt, bind])
     p_eval.add_argument("expr", help="expression in the DSL grammar")
 
-    p_diff = sub.add_parser(
-        "diff", parents=[common], help="derivative via an infinitesimal increment"
-    )
+    p_diff = command("diff", cmd_diff, [precision, fmt, bind])
     p_diff.add_argument("expr", help="expression to differentiate")
-    p_diff.add_argument("var", help="variable of differentiation")
+    p_diff.add_argument("var", type=_name, help="variable of differentiation")
     p_diff.add_argument("point", type=_rational, help="assignable point, e.g. 3 or 5/2")
 
-    p_gallery = sub.add_parser(
-        "gallery", parents=[common], help="run a worked example"
-    )
-    p_gallery.add_argument("example_id", choices=GALLERY_IDS)
+    p_gallery = command("gallery", cmd_gallery, [precision, fmt])
+    p_gallery.add_argument("example_id", choices=GALLERY)
     p_gallery.add_argument(
         "--csv",
         metavar="PATH",
         help="write (x0, y0, st_of_lhs) rows; ellipse_parabola only",
     )
 
-    p_transfer = sub.add_parser(
-        "transfer", parents=[common], help="check a corpus of claimed identities"
-    )
+    p_transfer = command("transfer", cmd_transfer, [precision, fmt, seed])
     p_transfer.add_argument("file", help="one 'lhs == rhs' per line, '#' comments")
 
-    sub.add_parser("repl", parents=[common], help="interactive evaluation loop")
+    command("repl", cmd_repl, [precision, bind])
 
     return parser
 
@@ -174,22 +188,17 @@ def parse_bindings(pairs: Sequence[str]) -> tuple[tuple[str, Expr], ...]:
     """Split and parse name=expr pairs; later pairs may use earlier names."""
     parsed = []
     for pair in pairs:
-        name, sep, expr_text = pair.partition("=")
-        name = name.strip()
+        name_text, sep, expr_text = pair.partition("=")
         if not sep:
             raise UsageError(f"binding must look like name=expr, got {pair!r}")
-        if not _NAME.match(name) or name in RESERVED_WORDS:
-            raise UsageError(f"not a bindable name: {name!r}")
-        parsed.append((name, parse_text(expr_text)))
+        parsed.append((_name(name_text), parse_text(expr_text.lstrip())))
     return tuple(parsed)
 
 
-def evaluate_bindings(
-    bindings: Sequence[tuple[str, Expr]], precision: int
-) -> dict[str, LCNumber]:
+def _environment(args) -> dict[str, LCNumber]:
     env: dict[str, LCNumber] = {}
-    for name, expr in bindings:
-        env[name] = evaluate(expr, env, precision)
+    for name, expr in parse_bindings(args.bind):
+        env[name] = evaluate(expr, env, args.precision)
     return env
 
 
@@ -203,19 +212,12 @@ def _render_value_text(value: LCNumber, out: TextIO) -> None:
         print(f"shadow: {standard_part(value)}", file=out)
 
 
-def _diff_json(result: DiffResult) -> dict:
-    return {
-        "quotient": result.quotient.to_json(),
-        "shadow": str(result.shadow),
-        "superfluous": result.discarded.to_json(),
-    }
-
-
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_eval(args, out: TextIO) -> int:
-    env = evaluate_bindings(parse_bindings(args.bind), args.precision)
+def cmd_eval(args, out: TextIO, err: TextIO) -> int:
+    """evaluate an expression"""
+    env = _environment(args)
     value = evaluate(parse_text(args.expr), env, args.precision)
     if args.format == "json":
         print(json.dumps(check_printable(value).to_json()), file=out)
@@ -224,14 +226,20 @@ def cmd_eval(args, out: TextIO) -> int:
     return 0
 
 
-def cmd_diff(args, out: TextIO) -> int:
-    env = evaluate_bindings(parse_bindings(args.bind), args.precision)
+def cmd_diff(args, out: TextIO, err: TextIO) -> int:
+    """derivative via an infinitesimal increment"""
+    env = _environment(args)
     result = derivative_at(
         parse_text(args.expr), args.var, args.point, env, args.precision
     )
     check_printable(result.quotient)  # its shadow and superfluous part too
     if args.format == "json":
-        print(json.dumps(_diff_json(result)), file=out)
+        payload = {
+            "quotient": result.quotient.to_json(),
+            "shadow": str(result.shadow),
+            "superfluous": result.discarded.to_json(),
+        }
+        print(json.dumps(payload), file=out)
     else:
         print(f"quotient: {result.quotient.render()}", file=out)
         print(f"shadow: {result.shadow}", file=out)
@@ -239,32 +247,16 @@ def cmd_diff(args, out: TextIO) -> int:
     return 0
 
 
-def _gallery_report(args) -> GalleryReport:
-    if args.example_id == "parallel_lines":
-        return parallel_lines_report(precision=args.precision)
-    if args.example_id == "infinitesimal_equality":
-        return infinitesimal_equality_report(precision=args.precision)
-    if args.example_id == "ellipse_parabola":
-        report = ellipse_parabola_report(precision=args.precision)
-        if args.csv:
-            try:
-                write_parabola_csv(args.csv, precision=args.precision)
-            except OSError as exc:
-                raise UsageError(str(exc)) from exc
-        return report
-    return product_rule_report(
-        parse_text("x"),
-        parse_text("x^2"),
-        "x",
-        1,
-        precision=args.precision,
-    )
-
-
-def cmd_gallery(args, out: TextIO) -> int:
+def cmd_gallery(args, out: TextIO, err: TextIO) -> int:
+    """run a worked example"""
     if args.csv and args.example_id != "ellipse_parabola":
         raise UsageError("--csv applies only to ellipse_parabola")
-    report = _gallery_report(args)
+    report = GALLERY[args.example_id](precision=args.precision)
+    if args.csv:
+        try:
+            write_parabola_csv(args.csv, precision=args.precision)
+        except OSError as exc:
+            raise UsageError(str(exc)) from exc
     if args.format == "json":
         print(json.dumps(report.to_json()), file=out)
     else:
@@ -329,6 +321,7 @@ def _counterexample_text(report: TransferReport) -> str:
 
 
 def cmd_transfer(args, out: TextIO, err: TextIO) -> int:
+    """check a corpus of claimed identities"""
     try:
         entries = load_corpus(args.file)
     except (UsageError, OSError) as exc:
@@ -370,15 +363,14 @@ def cmd_transfer(args, out: TextIO, err: TextIO) -> int:
 
 # -- repl ---------------------------------------------------------------------
 
-_BIND_LINE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9_]*)\s*=(?!=)\s*(.*)$")
-
 
 def cmd_repl(args, out: TextIO, err: TextIO) -> int:
+    """interactive evaluation loop"""
     try:
         import readline  # noqa: F401  (line editing when the host provides it)
     except ImportError:
         pass
-    env = evaluate_bindings(parse_bindings(args.bind), args.precision)
+    env = _environment(args)
     prompt = "lc> " if sys.stdin.isatty() else ""
     while True:
         try:
@@ -390,16 +382,18 @@ def cmd_repl(args, out: TextIO, err: TextIO) -> int:
             continue
         if line in ("exit", "quit"):
             break
+        name_text, sep, expr_text = line.partition("=")
         try:
-            match = _BIND_LINE.match(line)
-            if match and match.group(1) not in RESERVED_WORDS:
-                name, expr_text = match.group(1), match.group(2)
-                value = evaluate(parse_text(expr_text), env, args.precision)
+            name = _name(name_text) if sep and not expr_text.startswith("=") else None
+        except UsageError:  # not a binding: the line is an expression
+            name = None
+        try:
+            source = line if name is None else expr_text.lstrip()
+            value = evaluate(parse_text(source), env, args.precision)
+            if name is not None:
                 env[name] = value
-            else:
-                value = evaluate(parse_text(line), env, args.precision)
             _render_value_text(value, out)
-        except (LexError, ParseError, LCError, UsageError) as exc:
+        except (LexError, ParseError, LCError) as exc:
             print(f"error: {exc}", file=err)
     return 0
 
@@ -408,24 +402,14 @@ def cmd_repl(args, out: TextIO, err: TextIO) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out, err = sys.stdout, sys.stderr
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "eval":
-            return cmd_eval(args, out)
-        if args.command == "diff":
-            return cmd_diff(args, out)
-        if args.command == "gallery":
-            return cmd_gallery(args, out)
-        if args.command == "transfer":
-            return cmd_transfer(args, out, err)
-        return cmd_repl(args, out, err)
+        return args.handler(args, sys.stdout, sys.stderr)
     except (LexError, ParseError, UsageError) as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except LCError as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

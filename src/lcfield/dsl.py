@@ -180,7 +180,9 @@ def tokenize(source: str) -> list[Token]:
             continue
         if ch.isalpha():
             start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
+            while i < n and (
+                source[i].isalpha() or source[i].isdecimal() or source[i] == "_"
+            ):
                 i += 1
             tokens.append(Token("identifier", source[start:i], start))
             continue
@@ -443,9 +445,7 @@ def _fraction_from_literal(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def parse(tokens: Sequence[Token], source_length: int | None = None) -> Expr:
-    if source_length is None:
-        source_length = tokens[-1].position + len(tokens[-1].text) if tokens else 0
+def parse(tokens: Sequence[Token], source_length: int) -> Expr:
     return _Parser(tokens, source_length).parse()
 
 

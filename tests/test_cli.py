@@ -11,6 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import lcfield
 
@@ -111,7 +112,10 @@ TRANSFER_SCHEMA = {
 
 
 def invoke(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -216,8 +220,13 @@ def test_eval_parse_error_exits_two(capsys):
 
 @pytest.mark.parametrize(
     "argv, position",
-    [(("eval", "²"), 0), (("diff", "x^²", "x", "1"), 2), (("eval", "-b", "x=²", "x"), 0)],
-    ids=["eval", "diff", "binding"],
+    [
+        (("eval", "²"), 0),
+        (("diff", "x^²", "x", "1"), 2),
+        (("eval", "-b", "x=²", "x"), 0),
+        (("eval", "x²"), 1),
+    ],
+    ids=["eval", "diff", "binding", "identifier"],
 )
 def test_a_digit_that_is_not_decimal_is_an_invalid_character(capsys, argv, position):
     code, out, err = invoke(capsys, *argv)
@@ -312,6 +321,13 @@ def test_diff_with_an_irrational_exponent_binding_has_no_traceback(precision):
     )
     assert done.returncode in (0, 3)
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("expr, var", [("eps^2", "eps"), ("x^2", "H")])
+def test_diff_variable_must_be_a_name(capsys, expr, var):
+    code, out, err = invoke(capsys, "diff", expr, var, "1")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument var: not a variable name: {var!r}\n")
 
 
 def test_diff_invalid_point_is_a_usage_error(capsys):
@@ -682,10 +698,62 @@ def test_run_raises_system_exit(monkeypatch, capsys):
 
 def test_parser_defaults():
     args = build_parser().parse_args(["eval", "1"])
-    assert args.precision == 16
-    assert args.format == "text"
-    assert args.seed == 0
-    assert args.bind == []
+    assert (args.precision, args.format, args.bind) == (16, "text", [])
+    assert "seed" not in vars(args)  # only transfer samples
+    assert build_parser().parse_args(["transfer", "corpus.txt"]).seed == 0
+
+
+# Each subcommand takes only the options it reads.
+UNREAD_OPTIONS = [
+    ("eval", "1", "--seed", "1"),
+    ("diff", "x", "x", "1", "--seed", "1"),
+    ("gallery", "product_rule", "--seed", "1"),
+    ("repl", "--seed", "1"),
+    ("gallery", "product_rule", "-b", "x=1"),
+    ("transfer", "CORPUS", "-b", "x=1"),
+    ("repl", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=" ".join)
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
+    monkeypatch, capsys, tmp_path, argv
+):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
+    argv = [corpus(tmp_path, "x == x\n") if a == "CORPUS" else a for a in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+def test_a_non_ascii_name_binds_everywhere(monkeypatch, capsys):
+    assert invoke(capsys, "eval", "-b", "α=3", "α^2") == (
+        0, "9 (appreciable)\nshadow: 9\n", ""
+    )
+    code, out, err = invoke(capsys, "diff", "α^2", "α", "3")
+    assert (code, err) == (0, "")
+    assert "shadow: 6" in out.splitlines()
+    code, out, err = repl(monkeypatch, capsys, "α = 3\nα^2\n")
+    assert (code, out.splitlines()[2], err) == (0, "9 (appreciable)", "")
+
+
+NAME_TEXT = st.text(st.characters(categories=("L", "N")) | st.just("_"), min_size=1)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(NAME_TEXT)
+@example("α")
+@example("x²")
+@example("x_1")
+@example("eps")
+@example("H")
+@example("sqrt")
+@example("2x")
+def test_a_binding_takes_exactly_the_names_that_can_be_unbound(capsys, name):
+    bound = invoke(capsys, "eval", "-b", f"{name}=1", name)
+    code, _, err = invoke(capsys, "eval", name)
+    unbound = code == 3 and err.startswith("error: unbound variable")
+    assert (bound == (0, "1 (appreciable)\nshadow: 1\n", "")) == unbound
 
 
 def test_parse_bindings_returns_named_trees():

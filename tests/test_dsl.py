@@ -109,6 +109,15 @@ def test_unknown_character_reports_its_offset():
     assert info.value.position == 4
 
 
+def test_an_identifier_continues_only_with_letters_decimal_digits_and_underscores():
+    # '²' is alphanumeric but neither a letter nor a decimal digit
+    with pytest.raises(LexError) as info:
+        tokenize("x²")
+    assert str(info.value) == "invalid character '²' (at position 1)"
+    for name in ("x_1", "x١", "αβ2"):
+        assert [(t.kind, t.text) for t in tokenize(name)] == [("identifier", name)]
+
+
 def test_decimal_literals_become_exact_fractions():
     assert parse_text("0.5") == Const(F(1, 2))
     assert parse_text("3.25") == Const(F(13, 4))
