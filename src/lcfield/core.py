@@ -175,11 +175,6 @@ class LCNumber:
         return not self.terms
 
     @property
-    def leading_exponent(self) -> Fraction | None:
-        """Smallest stored exponent; ``None`` for zero (read: plus infinity)."""
-        return self.terms[0][0] if self.terms else None
-
-    @property
     def leading_coefficient(self) -> Fraction | None:
         return self.terms[0][1] if self.terms else None
 
@@ -212,11 +207,6 @@ class LCNumber:
             "terms": [{"exp": str(e), "coef": str(c)} for e, c in self.terms],
             "precision": self.precision,
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "LCNumber":
-        pairs = [(Fraction(t["exp"]), Fraction(t["coef"])) for t in data["terms"]]
-        return cls.from_terms(pairs, int(data["precision"]))
 
     def render(self) -> str:
         """Ascending-exponent text form, e.g. ``1 - 4·eps`` or ``eps^-1``."""

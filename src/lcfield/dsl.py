@@ -669,11 +669,14 @@ def canonicalize(
 def _canon(node: Expr, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomial]:
     """The tree's own fraction ``(N, D)``, never reduced.  A sum adds a
     term whose denominator equals the running one straight into ``N``, so
-    repeated denominators do not swell; ``D`` is a product of ``H``s and
-    of divisors' numerators, each checked to be nonzero."""
+    repeated denominators do not swell; ``D`` is a product of ``H``s, of
+    literals' denominators and of divisors' numerators, each checked to be
+    nonzero.  A literal ``p/q`` enters as ``(p, q)``, so both have integer
+    coefficients."""
     one = Polynomial.const(variables, 1)
     if isinstance(node, Const):
-        return Polynomial.const(variables, node.value), one
+        p, q = node.value.numerator, node.value.denominator
+        return Polynomial.const(variables, p), Polynomial.const(variables, q)
     if isinstance(node, Var):
         return Polynomial.var(variables, node.name), one
     if isinstance(node, Eps):

@@ -1,40 +1,26 @@
 """Sparse multivariate polynomials and gcd-reduced rational functions.
 
-Exact rational coefficients, a fixed variable tuple per value, and a
-graded lexicographic term order (total degree first, then left-to-right
+Integer coefficients, a fixed variable tuple per value, and a graded
+lexicographic term order (total degree first, then left-to-right
 exponent comparison).  The gcd is a primitive pseudo-remainder sequence,
-recursing on the variable set; sizes here stay small, so clarity beats
-asymptotics.
+recursing on the variable set; its coefficients can grow fast on inputs
+with many variables, which a modular gcd would avoid (ROADMAP item 3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping
+from numbers import Rational
+from typing import Mapping
 
 __all__ = ["Polynomial", "RationalForm", "poly_gcd"]
 
 Monomial = tuple[int, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def _grlex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
-
-
-def _content(coefficients: Iterable[Fraction]) -> Fraction:
-    """Positive rational c with every coefficient / c an integer and those
-    integers coprime; 0 when there are no coefficients."""
-    num = 0
-    den = 1
-    for c in coefficients:
-        num = math.gcd(num, c.numerator)
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,13 +29,13 @@ class Polynomial:
     descending graded-lex order so the leading term is ``terms[0]``."""
 
     variables: tuple[str, ...]
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, int], ...]
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def from_dict(
-        cls, variables: tuple[str, ...], mapping: Mapping[Monomial, Fraction]
+        cls, variables: tuple[str, ...], mapping: Mapping[Monomial, int]
     ) -> "Polynomial":
         cleaned = {m: c for m, c in mapping.items() if c != 0}
         ordered = sorted(cleaned.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
@@ -60,8 +46,9 @@ class Polynomial:
         return cls(variables, ())
 
     @classmethod
-    def const(cls, variables: tuple[str, ...], value: Fraction | int) -> "Polynomial":
-        value = Fraction(value)
+    def const(cls, variables: tuple[str, ...], value: int) -> "Polynomial":
+        if not isinstance(value, int):
+            raise TypeError(f"integer coefficient required, got {type(value).__name__}")
         if value == 0:
             return cls.zero(variables)
         return cls(variables, (((0,) * len(variables), value),))
@@ -70,7 +57,7 @@ class Polynomial:
     def var(cls, variables: tuple[str, ...], name: str) -> "Polynomial":
         index = variables.index(name)
         mono = tuple(1 if i == index else 0 for i in range(len(variables)))
-        return cls(variables, ((mono, _ONE),))
+        return cls(variables, ((mono, 1),))
 
     # -- basics ----------------------------------------------------------
 
@@ -83,15 +70,8 @@ class Polynomial:
         return not self.terms or sum(self.terms[0][0]) == 0
 
     @property
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[0][1] if self.terms else _ZERO
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return _ZERO
-        if not self.is_constant:
-            raise ValueError("not a constant polynomial")
-        return self.terms[0][1]
+    def leading_coefficient(self) -> int:
+        return self.terms[0][1] if self.terms else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -116,7 +96,7 @@ class Polynomial:
         self._require_same_variables(other)
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = acc.get(m, _ZERO) + c
+            acc[m] = acc.get(m, 0) + c
         return Polynomial.from_dict(self.variables, acc)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -127,20 +107,12 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_variables(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int] = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:
                 m = tuple(x + y for x, y in zip(ma, mb))
-                acc[m] = acc.get(m, _ZERO) + ca * cb
+                acc[m] = acc.get(m, 0) + ca * cb
         return Polynomial.from_dict(self.variables, acc)
-
-    def scale(self, factor: Fraction | int) -> "Polynomial":
-        factor = Fraction(factor)
-        if factor == 0:
-            return Polynomial.zero(self.variables)
-        return Polynomial(
-            self.variables, tuple((m, c * factor) for m, c in self.terms)
-        )
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -157,63 +129,66 @@ class Polynomial:
     # -- division ----------------------------------------------------------
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """The q with q * divisor == self, by graded-lex division, or ValueError.
+        """The q with q * divisor == self over Z, by graded-lex division, or
+        ValueError.
 
         In a monomial order LT(q·d) = LT(q)·LT(d), so each partial remainder
         of an exact division has a leading term that LT(divisor) divides.
+        A primitive divisor that divides over Q divides over Z (Gauss's
+        lemma), and every divisor here is a gcd or a content.
         """
         self._require_same_variables(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quot: dict[Monomial, Fraction] = {}
+        quot: dict[Monomial, int] = {}
         work = dict(self.terms)
         dm, dc = divisor.terms[0]
         while work:
             m = max(work, key=_grlex_key)
             c = work.pop(m)
             diff = tuple(x - y for x, y in zip(m, dm))
-            if any(d < 0 for d in diff):
+            factor, rem = divmod(c, dc)
+            if any(d < 0 for d in diff) or rem:
                 raise ValueError("division is not exact")
-            factor = quot[diff] = c / dc
+            quot[diff] = factor
             for m2, c2 in divisor.terms[1:]:
                 mm = tuple(x + y for x, y in zip(diff, m2))
-                work[mm] = work.get(mm, _ZERO) - factor * c2
+                work[mm] = work.get(mm, 0) - factor * c2
                 if work[mm] == 0:
                     del work[mm]
         return Polynomial.from_dict(self.variables, quot)
 
-    # -- content and evaluation ---------------------------------------------
+    # -- content and substitution ---------------------------------------------
 
-    def content(self) -> Fraction:
-        """Positive rational c with self = c * (integer-primitive polynomial)."""
-        return _content(c for _, c in self.terms)
+    def content(self) -> int:
+        """Positive gcd of the coefficients; 0 for the zero polynomial."""
+        return math.gcd(*(c for _, c in self.terms))
 
     def primitive(self) -> "Polynomial":
         if self.is_zero:
             return self
-        return self.scale(1 / self.content())
+        return self._divided_by(self.content())
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = _ZERO
-        for mono, coef in self.terms:
-            value = coef
-            for name, exp in zip(self.variables, mono):
-                if exp:
-                    value *= point[name] ** exp
-            total += value
-        return total
+    def _divided_by(self, divisor: int) -> "Polynomial":
+        """Each coefficient divided by ``divisor``, which divides them all."""
+        return Polynomial(self.variables, tuple((m, c // divisor) for m, c in self.terms))
 
-    def substitute(self, index: int, value: Fraction | int) -> "Polynomial":
-        """``self`` with variable ``index`` set to ``value``.
+    def substitute(self, index: int, value: Rational) -> "Polynomial":
+        """``q^d · self`` with variable ``index`` set to ``value = p/q``, where
+        ``d`` is the degree in that variable: integer coefficients, and zero
+        exactly when ``self`` is zero at ``value``.
 
         The variable tuple is kept and the slot is zero in every term, so
         the result combines with polynomials over the same tuple.
         """
-        acc: dict[Monomial, Fraction] = {}
-        for k, coeff in self.coefficients_in(index).items():
-            factor = value**k
+        p, q = value.numerator, value.denominator
+        view = self.coefficients_in(index)
+        degree = max(view, default=0)
+        acc: dict[Monomial, int] = {}
+        for k, coeff in view.items():
+            factor = p**k * q ** (degree - k)
             for mono, coef in coeff.terms:
-                acc[mono] = acc.get(mono, _ZERO) + coef * factor
+                acc[mono] = acc.get(mono, 0) + coef * factor
         return Polynomial.from_dict(self.variables, acc)
 
     def coefficients_in(self, index: int) -> dict[int, "Polynomial"]:
@@ -223,7 +198,7 @@ class Polynomial:
         Zeroing one slot in terms that share its exponent keeps them distinct
         and in graded-lex order, so each coefficient takes its terms as they come.
         """
-        buckets: dict[int, list[tuple[Monomial, Fraction]]] = {}
+        buckets: dict[int, list[tuple[Monomial, int]]] = {}
         for mono, coef in self.terms:
             reduced = mono[:index] + (0,) + mono[index + 1:]
             buckets.setdefault(mono[index], []).append((reduced, coef))
@@ -349,13 +324,10 @@ class RationalForm:
         common = poly_gcd(numerator, denominator)
         numerator = numerator.exact_div(common)
         denominator = denominator.exact_div(common)
-        joint = _content(c for _, c in numerator.terms + denominator.terms)
-        numerator = numerator.scale(1 / joint)
-        denominator = denominator.scale(1 / joint)
+        joint = math.gcd(numerator.content(), denominator.content())
         if denominator.leading_coefficient < 0:
-            numerator = -numerator
-            denominator = -denominator
-        return cls(numerator, denominator)
+            joint = -joint
+        return cls(numerator._divided_by(joint), denominator._divided_by(joint))
 
     @property
     def is_polynomial(self) -> bool:

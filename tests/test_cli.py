@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -269,7 +270,11 @@ def test_eval_text_and_json_agree(capsys):
         capsys, "eval", "--format", "json", "1/(2 + eps)"
     )
     assert code == code2 == 0
-    series = LCNumber.from_json(json.loads(json_out))
+    data = json.loads(json_out)
+    series = LCNumber.from_terms(
+        [(Fraction(t["exp"]), Fraction(t["coef"])) for t in data["terms"]],
+        data["precision"],
+    )
     assert text_out.splitlines()[0] == f"{series.render()} (appreciable)"
 
 
@@ -724,6 +729,23 @@ def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+MINUS_POSITIONALS = {
+    ("diff", "x^2", "x", "-1/2"): (2, "", "required: point\n"),
+    ("eval", "-x"): (2, "", "required: expr\n"),
+    ("diff", "x^2", "x", "--", "-1/2"): (0, "quotient: -1 + eps\nshadow: -1\nsuperfluous: eps\n", ""),
+    ("eval", "-b", "x=2", "--", "-x^2"): (0, "-4 (appreciable)\nshadow: -4\n", ""),
+}
+
+
+@pytest.mark.parametrize("argv", MINUS_POSITIONALS, ids=" ".join)
+def test_a_positional_that_begins_with_a_minus_follows_a_double_dash(capsys, argv):
+    # argparse reads only plain negative numbers such as -1 as positionals
+    code, out, err = invoke(capsys, *argv)
+    expected_code, expected_out, expected_err_tail = MINUS_POSITIONALS[argv]
+    assert (code, out) == (expected_code, expected_out)
+    assert err.endswith(expected_err_tail)
 
 
 def test_a_non_ascii_name_binds_everywhere(monkeypatch, capsys):

@@ -11,6 +11,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import example, given, assume, strategies as st
 
 import lcfield
@@ -628,15 +629,19 @@ def test_canonical_form_evaluates_like_the_tree(tree, qx, qy):
     except DivisionByZero:
         assume(False)
         return
-    point = {"x": qx, "y": qy}
-    den = rf.denominator.evaluate(point)
+    symbols = sympy.symbols("x y")
+    point = {s: sympy.Rational(q.numerator, q.denominator) for s, q in zip(symbols, (qx, qy))}
+    num, den = (
+        sympy.Poly.from_dict(dict(p.terms), symbols).as_expr().subs(point)
+        for p in (rf.numerator, rf.denominator)
+    )
     assume(den != 0)
     try:
         direct = evaluate(tree, {"x": make_real(qx), "y": make_real(qy)})
     except DivisionByZero:
         assume(False)
         return
-    assert direct == make_real(rf.numerator.evaluate(point) / den)
+    assert direct == make_real(Fraction(str(num / den)))
 
 
 @given(expressions(names=("x",), allow_units=False, max_leaves=4))
