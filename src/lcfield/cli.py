@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence, TextIO
@@ -107,6 +108,45 @@ def _name(text: str) -> str:
     raise UsageError(f"not a variable name: {text.strip()!r}")
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that names an option only other subcommands
+    take when it comes before a positional.  argparse would skip the
+    option and hand its value to that positional, then report the value
+    or the positional instead."""
+
+    def __init__(self, *args, command: str, **kwargs):
+        self.command = command
+        self.positionals = 0
+        self.takes: set[str] = set()  # its option strings that take a value
+        self.foreign: set[str] = set()  # those of other subcommands only
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if not action.option_strings:
+            self.positionals += 1
+        elif action.nargs is None:
+            self.takes.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        words, seen = iter(args), 0
+        for word in words:
+            if word in ("--", "-h", "--help"):
+                break
+            if word in self.foreign and seen < self.positionals:
+                self.error(f"{self.command} does not take {word}")
+            if word in self.takes:
+                next(words, None)
+            elif not word.startswith("-") or _NEGATIVE_NUMBER.match(word):
+                seen += 1
+        return super().parse_known_args(args, namespace)
+
+
+# argparse reads a word that matches this as a positional, not an option.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``lcfield`` argument parser, built once per process.
@@ -114,46 +154,53 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` leaves the parser unchanged (``--bind`` appends to a
     fresh copy of its empty default), so one instance serves every call.
     """
-    # One parent parser per option: each subcommand lists the options it reads.
-    precision, fmt, seed, bind = (
-        argparse.ArgumentParser(add_help=False) for _ in range(4)
-    )
-    precision.add_argument(
-        "-T",
-        "--precision",
-        type=_positive_precision,
-        default=DEFAULT_PRECISION,
-        help=f"relative truncation order (default 16, 2 to {MAX_PRECISION})",
-    )
-    fmt.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
-    )
-    seed.add_argument(
-        "--seed",
-        type=_seed_value,
-        default=0,
-        help="sampling seed for transfer checks (default 0)",
-    )
-    bind.add_argument(
-        "-b",
-        "--bind",
-        action="append",
-        default=[],
-        metavar="NAME=EXPR",
-        help="bind a variable; may reference eps, H, and earlier bindings",
-    )
+
+    # One function per option: each subcommand lists the options it reads.
+    def precision(p):
+        p.add_argument(
+            "-T",
+            "--precision",
+            type=_positive_precision,
+            default=DEFAULT_PRECISION,
+            help=f"relative truncation order (default 16, 2 to {MAX_PRECISION})",
+        )
+
+    def fmt(p):
+        p.add_argument(
+            "--format",
+            choices=("text", "json"),
+            default="text",
+            help="output format (default text)",
+        )
+
+    def seed(p):
+        p.add_argument(
+            "--seed",
+            type=_seed_value,
+            default=0,
+            help="sampling seed for transfer checks (default 0)",
+        )
+
+    def bind(p):
+        p.add_argument(
+            "-b",
+            "--bind",
+            action="append",
+            default=[],
+            metavar="NAME=EXPR",
+            help="bind a variable; may reference eps, H, and earlier bindings",
+        )
 
     parser = argparse.ArgumentParser(
         prog="lcfield",
         description="exact arithmetic with infinitesimal and infinite quantities",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
-    def command(name, handler, options) -> argparse.ArgumentParser:
-        subparser = sub.add_parser(name, parents=options, help=handler.__doc__)
+    def command(name, handler, options) -> _Subcommand:
+        subparser = sub.add_parser(name, help=handler.__doc__, command=name)
+        for option in options:
+            option(subparser)
         subparser.set_defaults(handler=handler)
         return subparser
 
@@ -178,6 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("repl", cmd_repl, [precision, bind])
 
+    every = set().union(*(p.takes for p in sub.choices.values()))
+    for p in sub.choices.values():
+        p.foreign = every - p.takes
     return parser
 
 

@@ -17,22 +17,28 @@ that expands ``a ** alpha`` up to the window's edge, so a product such
 as ``mul(a, inverse(a))`` agrees with the exact answer to the guaranteed
 order only.
 
-Values are immutable and every operation is a pure function, so values
-may be freely shared across threads.  Floats are rejected everywhere:
-stored coefficients and exponents are ``fractions.Fraction``.  The
-arithmetic itself runs on an integer lattice: ``add``, ``mul`` and the
-power recurrence scale exponents (and, in ``mul``, coefficients) by a
-common denominator, work on ``int``s, and turn only the terms they keep
-back into ``Fraction``s.  Scaling by a common denominator is a bijection
-onto the integers, so no answer differs from plain rational arithmetic.
+No operation changes a value once built, and every operation is a pure
+function, so values may be freely shared across threads (the cached
+``terms`` tuple is the same whichever thread builds it first).  Floats
+are rejected everywhere.
+
+A value is stored on its integer lattice: ``int`` exponent numerators
+over one exponent denominator and ``int`` coefficient numerators over
+one coefficient denominator, both denominators reduced, so equal values
+have equal fields.  The arithmetic works on those ``int``s alone;
+``fractions.Fraction`` appears only at the edges, where values are
+built from rationals and where ``terms``, ``render``, ``to_json`` and
+the accessors hand rationals back.  Scaling by a common denominator is
+a bijection onto the integers, so no answer differs from plain rational
+arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -73,6 +79,9 @@ DEFAULT_PRECISION = 16
 # numerators, denominators and exponents are held to this many digits.
 MAX_DIGITS = 4000
 _DIGIT_BOUND = 10**MAX_DIGITS
+# 2**b >= 10**MAX_DIGITS exactly when b >= _DIGIT_BITS.
+_DIGIT_BITS = _DIGIT_BOUND.bit_length()
+_TOO_LONG = f"value has a number of more than {MAX_DIGITS} digits"
 
 # Assignable quantities are exact rationals throughout.
 Rational = Fraction
@@ -80,9 +89,6 @@ Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
-_HALF = Fraction(1, 2)
 
 
 class LCError(ArithmeticError):
@@ -125,11 +131,12 @@ class Classification(Enum):
     INFINITE = "infinite"
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """``value`` as a reduced ``(numerator, denominator)``, denominator > 0."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"exact rational required, got {type(value).__name__}")
 
 
@@ -139,22 +146,40 @@ def _check_precision(precision: int) -> int:
     return precision
 
 
-@dataclass(frozen=True, eq=False)
 class LCNumber:
-    """A truncated formal series ``sum q_i * eps^(r_i)``.
+    """A truncated formal series ``sum q_i * eps^(r_i)``, stored on its lattice.
 
-    ``terms`` holds ``(exponent, coefficient)`` pairs with nonzero
-    rational coefficients and strictly ascending rational exponents, all
-    inside the relative precision window.  Build values through
-    :func:`make_real`, :func:`make_monomial` or :meth:`from_terms`;
-    direct construction skips normalization.
+    Term ``i`` is ``(n[i] / q) * eps^(k[i] / d)``: ``k`` holds strictly
+    ascending ``int`` exponent numerators over the exponent denominator
+    ``d``, and ``n`` the nonzero ``int`` coefficient numerators over the
+    coefficient denominator ``q``, all inside the relative precision
+    window.  Both denominators are positive and reduced
+    (``gcd(d, *k) == 1``, ``gcd(q, *n) == 1``; zero has ``d == q == 1``),
+    so equal values have equal fields.  ``terms`` is the same series as
+    reduced ``(exponent, coefficient)`` ``Fraction`` pairs, built on first
+    use.  Build values through :func:`make_real`, :func:`make_monomial` or
+    :meth:`from_terms`; direct construction skips normalization.
 
-    Equality compares terms only: precision is a statement about which
-    exponents are guaranteed, not part of the value.
+    Equality compares the series only: precision is a statement about
+    which exponents are guaranteed, not part of the value.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
-    precision: int = DEFAULT_PRECISION
+    __slots__ = ("k", "d", "n", "q", "precision", "_terms")
+
+    def __init__(
+        self,
+        k: tuple[int, ...],
+        d: int,
+        n: tuple[int, ...],
+        q: int,
+        precision: int = DEFAULT_PRECISION,
+    ):
+        self.k = k
+        self.d = d
+        self.n = n
+        self.q = q
+        self.precision = precision
+        self._terms: tuple[tuple[Fraction, Fraction], ...] | None = None
 
     @classmethod
     def from_terms(
@@ -162,43 +187,55 @@ class LCNumber:
         pairs: Iterable[tuple[RationalLike, RationalLike]],
         precision: int = DEFAULT_PRECISION,
     ) -> "LCNumber":
-        items = [(_as_fraction(e), _as_fraction(c)) for e, c in pairs]
-        d = lcm(*(e.denominator for e, _ in items))
-        merged: dict[int, Fraction] = {}
-        for e, c in items:
-            n = e.numerator * (d // e.denominator)
-            merged[n] = merged.get(n, _ZERO) + c
-        return _normalize(merged, d, _check_precision(precision))
+        items = [(_ratio(e), _ratio(c)) for e, c in pairs]
+        d = lcm(*(e[1] for e, _ in items))
+        q = lcm(*(c[1] for _, c in items))
+        merged: dict[int, int] = {}
+        for (ek, ed), (cn, cq) in items:
+            k = ek * (d // ed)
+            merged[k] = merged.get(k, 0) + cn * (q // cq)
+        return _normalize(merged, d, q, _check_precision(precision))
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """``(exponent, coefficient)`` pairs, ascending, as reduced ``Fraction``s."""
+        terms = self._terms
+        if terms is None:
+            d, q = self.d, self.q
+            terms = self._terms = tuple(
+                (Fraction(k, d), Fraction(n, q)) for k, n in zip(self.k, self.n)
+            )
+        return terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.k
 
     @property
     def leading_coefficient(self) -> Fraction | None:
-        return self.terms[0][1] if self.terms else None
+        return Fraction(self.n[0], self.q) if self.n else None
 
     @property
     def window(self) -> Fraction | None:
         """Exclusive upper bound of guaranteed exponents; ``None`` means unbounded."""
-        if not self.terms:
+        if not self.k:
             return None
-        return self.terms[0][0] + self.precision
+        return Fraction(self.k[0] + self.precision * self.d, self.d)
 
     def coefficient(self, exponent: RationalLike) -> Fraction:
-        e = _as_fraction(exponent)
-        for exp, coef in self.terms:
-            if exp == e:
-                return coef
-            if exp > e:
-                break
+        ek, ed = _ratio(exponent)
+        k, off_lattice = divmod(ek * self.d, ed)
+        if not off_lattice:
+            i = bisect_left(self.k, k)
+            if i < len(self.k) and self.k[i] == k:
+                return Fraction(self.n[i], self.q)
         return _ZERO
 
     def __iter__(self) -> Iterator[tuple[Fraction, Fraction]]:
         return iter(self.terms)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.k)
 
     # -- serialization ------------------------------------------------
 
@@ -239,10 +276,15 @@ class LCNumber:
         coerced = _coerce(other, self.precision)
         if coerced is None:
             return NotImplemented
-        return self.terms == coerced.terms
+        return (
+            self.k == coerced.k
+            and self.n == coerced.n
+            and self.d == coerced.d
+            and self.q == coerced.q
+        )
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash((self.k, self.d, self.n, self.q))
 
     def __lt__(self, other):
         return self._order(other, (-1,))
@@ -311,24 +353,31 @@ def _coerce(value: object, precision: int) -> LCNumber | None:
     return None
 
 
+def _zero(precision: int) -> LCNumber:
+    return LCNumber((), 1, (), 1, precision)
+
+
 def _normalize(
-    merged: Mapping[int, Fraction],
+    merged: Mapping[int, int],
     d: int,
+    q: int,
     precision: int,
     bound: int | None = None,
 ) -> LCNumber:
-    """Turn a lattice map ``n -> coefficient of eps^(n/d)`` into an LCNumber.
+    """Turn a lattice map ``k -> n``, the term ``(n/q)·eps^(k/d)``, into an
+    LCNumber with both denominators reduced.
 
     ``bound`` is an absolute cutoff on the same lattice: the inputs only
     vouch for terms below it, so nothing at or above it may be kept or
     claimed.
     """
-    nonzero = {
-        n: c for n, c in merged.items() if c and (bound is None or n < bound)
-    }
-    if not nonzero:
-        return LCNumber((), precision)
-    lead = min(nonzero)
+    if bound is None:
+        ks = sorted([k for k, n in merged.items() if n])
+    else:
+        ks = sorted([k for k, n in merged.items() if n and k < bound])
+    if not ks:
+        return _zero(precision)
+    lead = ks[0]
     if bound is not None:
         # The merge is exact, so the result is vouched for on the whole
         # of [lead, bound); the relative claim is measured from wherever
@@ -337,8 +386,18 @@ def _normalize(
         # of known terms rather than overclaiming.
         precision = max(1, (bound - lead) // d)
     cutoff = lead + precision * d
-    kept = sorted(n for n in nonzero if n < cutoff)
-    return LCNumber(tuple((Fraction(n, d), nonzero[n]) for n in kept), precision)
+    if ks[-1] >= cutoff:
+        del ks[bisect_left(ks, cutoff):]
+    ns = [merged[k] for k in ks]
+    g = gcd(d, *ks) if d > 1 else 1
+    if g > 1:
+        d //= g
+        ks = [k // g for k in ks]
+    g = gcd(q, *ns) if q > 1 else 1
+    if g > 1:
+        q //= g
+        ns = [n // g for n in ns]
+    return LCNumber(tuple(ks), d, tuple(ns), q, precision)
 
 
 # -- constructors ------------------------------------------------------
@@ -346,23 +405,23 @@ def _normalize(
 
 def make_real(q: RationalLike, precision: int = DEFAULT_PRECISION) -> LCNumber:
     """Embed a rational as an appreciable value (or zero)."""
-    q = _as_fraction(q)
+    n, q = _ratio(q)
     _check_precision(precision)
-    if q == 0:
-        return LCNumber((), precision)
-    return LCNumber(((_ZERO, q),), precision)
+    if not n:
+        return _zero(precision)
+    return LCNumber((0,), 1, (n,), q, precision)
 
 
 def make_monomial(
     q: RationalLike, r: RationalLike, precision: int = DEFAULT_PRECISION
 ) -> LCNumber:
     """The single-term series ``q * eps^r``; zero when ``q == 0``."""
-    q = _as_fraction(q)
-    r = _as_fraction(r)
+    n, q = _ratio(q)
+    k, d = _ratio(r)
     _check_precision(precision)
-    if q == 0:
-        return LCNumber((), precision)
-    return LCNumber(((r, q),), precision)
+    if not n:
+        return _zero(precision)
+    return LCNumber((k,), d, (n,), q, precision)
 
 
 def eps(precision: int = DEFAULT_PRECISION) -> LCNumber:
@@ -381,25 +440,23 @@ def big_h(precision: int = DEFAULT_PRECISION) -> LCNumber:
 def add(a: LCNumber, b: LCNumber) -> LCNumber:
     """Exact sum, claimed only below the nearer of the two windows.
 
-    Exponents are merged as integers over their common denominator ``d``;
-    coefficients stay ``Fraction``.
+    Both operands move to the common denominators ``d`` and ``q`` and
+    their numerators are merged as ``int``s.
     """
+    d, q = lcm(a.d, b.d), lcm(a.q, b.q)
+    sa, ta = d // a.d, q // a.q
+    merged = {k * sa: n * ta for k, n in zip(a.k, a.n)}
+    sb, tb = d // b.d, q // b.q
+    for k, n in zip(b.k, b.n):
+        k *= sb
+        merged[k] = merged.get(k, 0) + n * tb
+    windows = [x.k[0] * (d // x.d) + x.precision * d for x in (a, b) if x.k]
     precision = min(a.precision, b.precision)
-    d = lcm(*(e.denominator for e, _ in a.terms), *(e.denominator for e, _ in b.terms))
-    merged = {e.numerator * (d // e.denominator): c for e, c in a.terms}
-    for e, c in b.terms:
-        n = e.numerator * (d // e.denominator)
-        merged[n] = merged.get(n, _ZERO) + c
-    windows = [
-        x.terms[0][0].numerator * (d // x.terms[0][0].denominator) + x.precision * d
-        for x in (a, b)
-        if x.terms
-    ]
-    return _normalize(merged, d, precision, min(windows) if windows else None)
+    return _normalize(merged, d, q, precision, min(windows) if windows else None)
 
 
 def neg(a: LCNumber) -> LCNumber:
-    return LCNumber(tuple((e, -c) for e, c in a.terms), a.precision)
+    return LCNumber(a.k, a.d, tuple(-n for n in a.n), a.q, a.precision)
 
 
 def sub(a: LCNumber, b: LCNumber) -> LCNumber:
@@ -409,27 +466,19 @@ def sub(a: LCNumber, b: LCNumber) -> LCNumber:
 def mul(a: LCNumber, b: LCNumber) -> LCNumber:
     """Product, truncated to the window of its (never cancelling) lead.
 
-    The convolution runs on integers only: exponents over their common
-    denominator ``d``, coefficients as numerators over each operand's
-    common coefficient denominator, so each output term costs one
-    ``Fraction`` at the end.
+    The convolution runs on the operands' numerators over the common
+    exponent denominator ``d``; the coefficient denominator is
+    ``a.q * b.q``.
     """
     precision = min(a.precision, b.precision)
-    if not a.terms or not b.terms:
-        return LCNumber((), precision)
-    d = lcm(*(e.denominator for e, _ in a.terms), *(e.denominator for e, _ in b.terms))
-    qa = lcm(*(c.denominator for _, c in a.terms))
-    qb = lcm(*(c.denominator for _, c in b.terms))
-    left = [
-        (e.numerator * (d // e.denominator), c.numerator * (qa // c.denominator))
-        for e, c in a.terms
-    ]
-    right = [
-        (e.numerator * (d // e.denominator), c.numerator * (qb // c.denominator))
-        for e, c in b.terms
-    ]
+    if not a.k or not b.k:
+        return _zero(precision)
+    d = lcm(a.d, b.d)
+    sa, sb = d // a.d, d // b.d
+    left = zip([k * sa for k in a.k], a.n)
+    right = list(zip([k * sb for k in b.k], b.n))
     # The leading pair never cancels, so the product's window is known up front.
-    bound = left[0][0] + right[0][0] + precision * d
+    bound = a.k[0] * sa + b.k[0] * sb + precision * d
     acc: dict[int, int] = {}
     for ka, na in left:
         limit = bound - ka
@@ -438,81 +487,80 @@ def mul(a: LCNumber, b: LCNumber) -> LCNumber:
                 break  # b's exponents ascend, later pairs only grow
             k = ka + kb
             acc[k] = acc.get(k, 0) + na * nb
-    q = qa * qb
-    return _normalize({k: Fraction(n, q) for k, n in acc.items()}, d, precision)
+    return _normalize(acc, d, a.q * b.q, precision)
 
 
-def _series_power(a: LCNumber, alpha: Fraction, lead: Fraction) -> LCNumber:
-    """``a ** alpha`` for nonzero ``a``, expanded to the precision window.
+def _series_power(a: LCNumber, p: int, r: int, u: int, v: int) -> LCNumber:
+    """``a ** (p/r)`` for nonzero ``a``, expanded to the precision window.
 
-    ``lead`` is ``c0 ** alpha`` for the leading coefficient ``c0``.  With
-    ``a = c0·eps^e0·(1 + t)``, ``b = (1 + t)^alpha`` satisfies
+    ``u/v``, with ``v > 0``, is ``c0 ** (p/r)`` for the leading coefficient
+    ``c0``.  With ``a = c0·eps^e0·(1 + t)``, ``b = (1 + t)^alpha`` satisfies
     ``(1 + t)·D(b) = alpha·D(t)·b``, where ``D`` multiplies each term by its
     exponent.  Hence J.C.P. Miller's recurrence
     ``e·b_e = sum_f ((alpha+1)·f - e)·t_f·b_(e-f)`` fills every exponent the
     tail reaches below the window, in ascending order.  It is homogeneous in
-    the exponents, so it runs on integers over a common denominator ``d`` of
-    the exponents and of the result's shift ``alpha·e0``.
+    the exponents, so it runs on ``a``'s exponent numerators, offset by the
+    lead's, and with both sides scaled by ``r``.  ``t``'s coefficients are
+    ``n_f / n_0``; each ``b_e`` is kept as a reduced ``int`` pair.
     """
-    e0, c0 = a.terms[0]
-    shift = alpha * e0
-    if len(a.terms) == 1:
-        return LCNumber(((shift, lead),), a.precision)
-    d = lcm(shift.denominator, *(e.denominator for e, _ in a.terms))
-    n0 = e0.numerator * (d // e0.denominator)
-    steps = [(e.numerator * (d // e.denominator) - n0, c / c0) for e, c in a.terms[1:]]
-    cutoff = a.precision * d
+    k0, n0 = a.k[0], a.n[0]
+    sign = 1 if n0 > 0 else -1
+    steps = [(k - k0, sign * n) for k, n in zip(a.k[1:], a.n[1:])]
+    cutoff = a.precision * a.d
     reach = {0}
     frontier = reach
     while frontier:
         frontier = {x + k for x in frontier for k, _ in steps if x + k < cutoff} - reach
         reach |= frontier
-    # alpha = p/q; both sides of the recurrence are scaled by q.
-    p, q = alpha.numerator, alpha.denominator
-    b = {0: _ONE}
+    scale = abs(n0) * r
+    num, den = {0: 1}, {0: 1}  # b_e == num[e] / den[e]
     for e in sorted(reach)[1:]:
-        acc = _ZERO
-        for k, t in steps:
-            prev = b.get(e - k)
-            if prev is not None:
-                acc += ((p + q) * k - q * e) * t * prev
-        b[e] = acc / (q * e)
-    s = shift.numerator * (d // shift.denominator)
-    return _normalize({e + s: lead * c for e, c in b.items()}, d, a.precision)
+        parts = [(((p + r) * k - r * e) * n, e - k) for k, n in steps if e - k in num]
+        common = lcm(*(den[j] for _, j in parts))
+        acc = sum(w * num[j] * (common // den[j]) for w, j in parts)
+        total = scale * e * common
+        g = gcd(acc, total)
+        num[e], den[e] = acc // g, total // g
+    # Over the exponent denominator r·d the term b_e sits at p·k0 + r·e.
+    common = lcm(*den.values())
+    merged = {p * k0 + r * e: u * c * (common // den[e]) for e, c in num.items()}
+    return _normalize(merged, r * a.d, v * common, a.precision)
 
 
 def inverse(a: LCNumber) -> LCNumber:
     """Multiplicative inverse: the power series of ``a ** -1`` to the window."""
-    if not a.terms:
+    if not a.k:
         raise DivisionByZero("cannot invert zero")
-    return _series_power(a, _MINUS_ONE, 1 / a.terms[0][1])
+    n0 = a.n[0]
+    return _series_power(a, -1, 1, a.q if n0 > 0 else -a.q, abs(n0))
 
 
 def power(a: LCNumber, n: int) -> LCNumber:
-    """Integer power by repeated squaring; ``a ** 0`` is 1 even for ``a == 0``."""
+    """Integer power by repeated squaring; ``a ** 0`` is 1 even for ``a == 0``.
+
+    A power whose leading coefficient ``c0 ** n`` is sure to hold a number
+    of more than MAX_DIGITS digits raises before any multiplication: with
+    ``c0 = p/q`` reduced, ``|p| ** n`` and ``q ** n`` are at least
+    ``2 ** (n·(bit_length - 1))``.
+    """
     if not isinstance(n, int):
         raise TypeError("exponent must be an integer")
     if n == 0:
         return make_real(1, a.precision)
     if n < 0:
-        return power(inverse(a), -n)
-    result = make_real(1, a.precision)
-    base = a
-    while n:
+        a, n = inverse(a), -n
+    if a.n:
+        bits = (max(abs(a.n[0]), a.q) // gcd(a.n[0], a.q)).bit_length() - 1
+        if n * bits >= _DIGIT_BITS:
+            raise LCError(_TOO_LONG)
+    result, base = None, a
+    while True:
         if n & 1:
-            result = mul(result, base)
-        base = mul(base, base) if n > 1 else base
+            result = base if result is None else mul(result, base)
         n >>= 1
-    return result
-
-
-def _rational_sqrt(c: Fraction) -> Fraction:
-    rn, rd = isqrt(c.numerator), isqrt(c.denominator)
-    if rn * rn != c.numerator or rd * rd != c.denominator:
-        raise NonSquareLeadingCoefficient(
-            f"leading coefficient {c} is not the square of a rational"
-        )
-    return Fraction(rn, rd)
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 def sqrt(a: LCNumber) -> LCNumber:
@@ -523,14 +571,20 @@ def sqrt(a: LCNumber) -> LCNumber:
     perfect rational square.  The rest follows from the power-series
     recurrence with exponent 1/2.  ``sqrt(0)`` is exactly zero.
     """
-    if not a.terms:
-        return LCNumber((), a.precision)
-    c0 = a.terms[0][1]
-    if c0 < 0:
+    if not a.k:
+        return _zero(a.precision)
+    g = gcd(a.n[0], a.q)
+    p, q = a.n[0] // g, a.q // g
+    if p < 0:
         raise NegativeLeadingCoefficient(
-            f"square root of a series with negative leading coefficient {c0}"
+            f"square root of a series with negative leading coefficient {Fraction(p, q)}"
         )
-    return _series_power(a, _HALF, _rational_sqrt(c0))
+    u, v = isqrt(p), isqrt(q)
+    if u * u != p or v * v != q:
+        raise NonSquareLeadingCoefficient(
+            f"leading coefficient {Fraction(p, q)} is not the square of a rational"
+        )
+    return _series_power(a, 1, 2, u, v)
 
 
 # -- order, classification, shadow --------------------------------------
@@ -538,16 +592,16 @@ def sqrt(a: LCNumber) -> LCNumber:
 
 def compare(a: LCNumber, b: LCNumber) -> int:
     """Sign of ``a - b``: -1, 0 or 1.  A total order refining the rational one."""
-    d = sub(a, b)
-    if not d.terms:
+    diff = sub(a, b)
+    if not diff.n:
         return 0
-    return 1 if d.terms[0][1] > 0 else -1
+    return 1 if diff.n[0] > 0 else -1
 
 
 def classify(a: LCNumber) -> Classification:
-    if not a.terms:
+    if not a.k:
         return Classification.ZERO
-    lead = a.terms[0][0]
+    lead = a.k[0]
     if lead > 0:
         return Classification.INFINITESIMAL
     if lead == 0:
@@ -569,19 +623,27 @@ def is_infinitely_close(a: LCNumber, b: LCNumber) -> bool:
 def tlh_reduce(a: LCNumber) -> LCNumber:
     """Keep only the leading stratum: the homogeneity step that discards
     terms infinitely smaller than the leading one.  Idempotent."""
-    if not a.terms:
+    if not a.k:
         return a
-    return LCNumber((a.terms[0],), a.precision)
+    k0, n0 = a.k[0], a.n[0]
+    g, h = gcd(k0, a.d), gcd(n0, a.q)
+    return LCNumber((k0 // g,), a.d // g, (n0 // h,), a.q // h, a.precision)
 
 
 def agrees_to_guaranteed_order(a: LCNumber, b: LCNumber) -> bool:
-    """True when a and b match on every exponent below both windows."""
-    windows = [w for w in (a.window, b.window) if w is not None]
+    """True when a and b match on every exponent below both windows.
+
+    Exponents move to the common denominator; coefficients are compared
+    crosswise, ``n_a·q_b == n_b·q_a``.
+    """
+    d = lcm(a.d, b.d)
+    windows = [x.k[0] * (d // x.d) + x.precision * d for x in (a, b) if x.k]
     if not windows:
         return True
     bound = min(windows)
-    left = {e: c for e, c in a.terms if e < bound}
-    right = {e: c for e, c in b.terms if e < bound}
+    sa, sb = d // a.d, d // b.d
+    left = [(k * sa, n * b.q) for k, n in zip(a.k, a.n) if k * sa < bound]
+    right = [(k * sb, n * a.q) for k, n in zip(b.k, b.n) if k * sb < bound]
     return left == right
 
 
@@ -589,5 +651,5 @@ def check_printable(value: LCNumber) -> LCNumber:
     """``value``, unless a number in it has more than MAX_DIGITS digits."""
     numbers = (n for term in value for q in term for n in (q.numerator, q.denominator))
     if any(abs(n) >= _DIGIT_BOUND for n in numbers):
-        raise LCError(f"value has a number of more than {MAX_DIGITS} digits")
+        raise LCError(_TOO_LONG)
     return value

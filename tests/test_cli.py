@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -563,6 +564,25 @@ def test_a_value_past_the_digit_cap_exits_three(capsys, argv):
     assert (code, err) == (0, "") and out.startswith("1" + "0" * (MAX_DIGITS - 1) + " ")
 
 
+@pytest.mark.parametrize("expr", ["2^99999999999", "(1/2 + eps)^99999999999", "(2 + eps)^-99999999999"])
+def test_a_power_past_the_digit_cap_is_refused_before_it_is_computed(capsys, expr):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "eval", expr)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"error: value has a number of more than {MAX_DIGITS} digits\n"
+    src = str(Path(lcfield.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "lcfield.cli", "eval", expr],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert "Traceback" not in done.stderr
+
+
 def test_transfer_counterexample_past_the_digit_cap_exits_three(capsys, tmp_path):
     path = corpus(tmp_path, f"x == x\n10^{MAX_DIGITS} == 1\n")
     code, out, err = invoke(capsys, "transfer", path)
@@ -729,6 +749,18 @@ def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+# argparse would hand such an option's value to the positional after it.
+@pytest.mark.parametrize(
+    "argv", [("gallery", "-b", "x=1", "product_rule"), ("transfer", "-b", "x=1", "CORPUS")],
+    ids=" ".join,
+)
+def test_an_unread_option_before_a_positional_is_named(capsys, tmp_path, argv):
+    argv = [corpus(tmp_path, "x == x\n") if a == "CORPUS" else a for a in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"lcfield {argv[0]}: error: {argv[0]} does not take -b\n")
 
 
 MINUS_POSITIONALS = {

@@ -7,7 +7,7 @@ recurrence c_k = c_{k-1} * (3 - 2k) / (2k).
 """
 
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +16,7 @@ from lcfield import (
     Classification,
     DivisionByZero,
     InfiniteOperand,
+    LCError,
     LCNumber,
     NegativeLeadingCoefficient,
     NonSquareLeadingCoefficient,
@@ -37,6 +38,7 @@ from lcfield import (
     sub,
     tlh_reduce,
 )
+from lcfield.core import MAX_DIGITS, check_printable
 
 from _gen import lc_numbers, nonzero_lc_numbers, rationals, nonzero_rationals
 
@@ -191,10 +193,10 @@ def test_sqrt_of_a_square_recovers_the_positive_root(b):
 
 # -- kernel parity with a plain Fraction-keyed reference -----------------------
 #
-# The kernel computes on integer exponents and coefficient numerators; the
-# reference below keys everything by Fraction, multiplies schoolbook-style
-# and expands powers with the binomial series, then applies the same window
-# rules.
+# The kernel stores and computes integer exponent and coefficient numerators
+# over one denominator each; the reference below keys everything by
+# Fraction, multiplies schoolbook-style and expands powers with the binomial
+# series, then applies the same window rules.
 
 
 def _reference_window(merged, precision, bound=None):
@@ -224,6 +226,19 @@ def _reference_mul(a, b):
         for eb, cb in b.terms:
             merged[ea + eb] = merged.get(ea + eb, 0) + ca * cb
     return _reference_window(merged, min(a.precision, b.precision))
+
+
+def _reference_compare(a, b):
+    terms, _ = _reference_add(a, LCNumber.from_terms([(e, -c) for e, c in b.terms], b.precision))
+    return (terms[0][1] > 0) - (terms[0][1] < 0) if terms else 0
+
+
+def _reference_agrees(a, b):
+    windows = [x.terms[0][0] + x.precision for x in (a, b) if x.terms]
+    if not windows:
+        return True
+    bound = min(windows)
+    return [t for t in a.terms if t[0] < bound] == [t for t in b.terms if t[0] < bound]
 
 
 def _reference_power(a, alpha, lead):
@@ -259,13 +274,14 @@ def parity_operands(draw, min_terms=0):
 
 
 @st.composite
-def cancelling_pairs(draw):
-    """``(a, b)`` where ``b`` cancels all of ``a`` or a prefix of it."""
+def prefix_pairs(draw, sign):
+    """``(a, b)`` where ``b`` holds ``sign`` times all of ``a`` or a prefix
+    of it: with ``sign = -1`` it cancels that prefix, with ``+1`` repeats it."""
     a = draw(parity_operands(min_terms=1))
     keep = draw(st.integers(min_value=0, max_value=len(a.terms)))
     extra = draw(parity_operands())
     b = LCNumber.from_terms(
-        [(e, -c) for e, c in a.terms[:keep]] + list(extra.terms),
+        [(e, sign * c) for e, c in a.terms[:keep]] + list(extra.terms),
         draw(parity_precisions),
     )
     return a, b
@@ -296,7 +312,7 @@ def test_from_terms_matches_the_fraction_keyed_reference(pairs, precision):
     assert _result(LCNumber.from_terms(pairs, precision)) == _reference_window(merged, precision)
 
 
-@given(st.one_of(st.tuples(parity_operands(), parity_operands()), cancelling_pairs()))
+@given(st.one_of(st.tuples(parity_operands(), parity_operands()), prefix_pairs(-1)))
 def test_add_matches_the_fraction_keyed_reference(pair):
     a, b = pair
     assert _result(add(a, b)) == _reference_add(a, b)
@@ -319,6 +335,121 @@ def test_sqrt_matches_the_binomial_reference(a):
     c0 = a.leading_coefficient
     lead = F(isqrt(c0.numerator), isqrt(c0.denominator))
     assert _result(sqrt(a)) == _reference_power(a, F(1, 2), lead)
+
+
+@given(power_operands(), st.integers(min_value=-4, max_value=6))
+def test_power_matches_the_binomial_reference(a, n):
+    lead = a.leading_coefficient**n
+    assert _result(power(a, n)) == _reference_power(a, F(n), lead)
+
+
+@pytest.mark.parametrize("n", range(-4, 7))
+def test_power_of_zero(n):
+    zero = make_real(0, precision=5)
+    if n < 0:
+        with pytest.raises(DivisionByZero):
+            power(zero, n)
+    else:
+        assert _result(power(zero, n)) == (((F(0), F(1)),) if n == 0 else (), 5)
+
+
+@given(st.one_of(st.tuples(parity_operands(), parity_operands()), prefix_pairs(-1), prefix_pairs(1)))
+def test_compare_matches_the_fraction_keyed_reference(pair):
+    a, b = pair
+    assert compare(a, b) == _reference_compare(a, b)
+    assert compare(a, a) == 0
+
+
+@given(parity_operands())
+def test_tlh_reduce_matches_the_fraction_keyed_reference(a):
+    assert _result(tlh_reduce(a)) == (a.terms[:1], a.precision)
+
+
+@given(st.one_of(st.tuples(parity_operands(), parity_operands()), prefix_pairs(1)))
+def test_agreement_matches_the_fraction_keyed_reference(pair):
+    a, b = pair
+    assert agrees_to_guaranteed_order(a, b) == _reference_agrees(a, b)
+    assert agrees_to_guaranteed_order(b, a) == _reference_agrees(a, b)
+
+
+# -- lattice storage: one set of fields per value ----------------------------------
+
+
+def _assert_on_the_lattice(value):
+    assert value.d > 0 and value.q > 0
+    assert list(value.k) == sorted(set(value.k)) and all(value.n)
+    assert len(value.k) == len(value.n)
+    assert gcd(value.d, *value.k) == 1 and gcd(value.q, *value.n) == 1
+    for e, c in value.terms:
+        assert type(e) is F and type(c) is F
+        assert gcd(e.numerator, e.denominator) == 1 and gcd(c.numerator, c.denominator) == 1
+
+
+@pytest.mark.parametrize(
+    "routes",
+    [
+        # an exponent written 2/4, or reached over the quarter lattice
+        [
+            LCNumber.from_terms([(F(2, 4), 3)]),
+            LCNumber.from_terms([(F(1, 4), 1), (F(1, 2), 3), (F(1, 4), -1)]),
+            make_monomial(3, F(1, 2)),
+        ],
+        # a cancelling add leaves 1/2 over the coefficient denominator 6
+        [
+            add(
+                LCNumber.from_terms([(0, F(1, 2)), (F(1, 3), F(1, 3))]),
+                make_monomial(F(-1, 3), F(1, 3)),
+            ),
+            make_real(F(1, 2)),
+        ],
+        # mul then inverse
+        [
+            inverse(mul(make_monomial(F(2, 3), F(1, 2)), make_monomial(F(9, 4), F(1, 6)))),
+            make_monomial(F(2, 3), F(-2, 3)),
+        ],
+        [
+            mul(add(make_real(F(2, 3)), make_monomial(1, F(1, 2))),
+                inverse(add(make_real(F(2, 3)), make_monomial(1, F(1, 2))))),
+            make_real(1),
+        ],
+    ],
+    ids=["exponent_2/4", "cancelling_add", "monomial_inverse", "mul_inverse"],
+)
+def test_one_value_by_different_routes_has_one_set_of_fields(routes):
+    first = routes[0]
+    for value in routes:
+        _assert_on_the_lattice(value)
+        assert value == first and hash(value) == hash(first)
+        assert (value.k, value.d, value.n, value.q) == (first.k, first.d, first.n, first.q)
+        assert value.terms == first.terms
+
+
+@given(lc_numbers(bound=2), lc_numbers(bound=2), st.integers(min_value=-2, max_value=3))
+def test_every_kernel_result_is_reduced_on_its_lattice(a, b, n):
+    results = [add(a, b), sub(a, b), mul(a, b), neg(a), tlh_reduce(a)]
+    if b:
+        results += [inverse(b), power(b, n)]
+        if b.leading_coefficient > 0:
+            results.append(sqrt(mul(b, b)))
+    for value in results:
+        _assert_on_the_lattice(value)
+        assert value == LCNumber.from_terms(value.terms, value.precision)
+        assert hash(value) == hash(LCNumber.from_terms(value.terms, value.precision))
+
+
+def test_power_refuses_a_leading_coefficient_past_the_digit_cap_up_front():
+    # 2**13287 < 10**4000 <= 2**13288: the guard is exact for powers of two.
+    bits = (10**MAX_DIGITS).bit_length()
+    assert check_printable(power(make_real(2), bits - 1))
+    assert check_printable(power(make_real(F(1, 2)), bits - 1))
+    for base, n in [(2, bits), (F(1, 2), bits), (F(-3, 5), 10**11), (2, 99999999999)]:
+        with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
+            power(add(make_real(base), eps()), n)
+    with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
+        power(add(make_real(2), eps()), -99999999999)  # its inverse leads with 1/2
+    # a lead of 1 or a zero base is never refused by the guard
+    assert power(make_real(0), 99999999999) == make_real(0)
+    assert power(eps(), 99999999999) == make_monomial(1, 99999999999)
 
 
 # -- field laws (exact inside the generator's window) ---------------------------
