@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Sequence, TextIO
@@ -108,43 +107,49 @@ def _name(text: str) -> str:
     raise UsageError(f"not a variable name: {text.strip()!r}")
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that names an option only other subcommands
-    take when it comes before a positional.  argparse would skip the
-    option and hand its value to that positional, then report the value
-    or the positional instead."""
+# Every option a subcommand may take: its flags and its add_argument settings.
+OPTIONS = {
+    "-T": (
+        ("-T", "--precision"),
+        dict(
+            type=_positive_precision,
+            default=DEFAULT_PRECISION,
+            help=f"relative truncation order (default 16, 2 to {MAX_PRECISION})",
+        ),
+    ),
+    "--format": (
+        ("--format",),
+        dict(choices=("text", "json"), default="text", help="output format (default text)"),
+    ),
+    "--seed": (
+        ("--seed",),
+        dict(type=_seed_value, default=0, help="sampling seed for transfer checks (default 0)"),
+    ),
+    "-b": (
+        ("-b", "--bind"),
+        dict(
+            action="append",
+            default=[],
+            metavar="NAME=EXPR",
+            help="bind a variable; may reference eps, H, and earlier bindings",
+        ),
+    ),
+    "--csv": (
+        ("--csv",),
+        dict(metavar="PATH", help="write (x0, y0, st_of_lhs) rows; ellipse_parabola only"),
+    ),
+}
 
-    def __init__(self, *args, command: str, **kwargs):
-        self.command = command
-        self.positionals = 0
-        self.takes: set[str] = set()  # its option strings that take a value
-        self.foreign: set[str] = set()  # those of other subcommands only
-        super().__init__(*args, **kwargs)
 
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if not action.option_strings:
-            self.positionals += 1
-        elif action.nargs is None:
-            self.takes.update(action.option_strings)
-        return action
+class _Refused(argparse.Action):
+    """An option only other subcommands take: refused by name wherever it stands."""
 
-    def parse_known_args(self, args=None, namespace=None):
-        words, seen = iter(args), 0
-        for word in words:
-            if word in ("--", "-h", "--help"):
-                break
-            if word in self.foreign and seen < self.positionals:
-                self.error(f"{self.command} does not take {word}")
-            if word in self.takes:
-                next(words, None)
-            elif not word.startswith("-") or _NEGATIVE_NUMBER.match(word):
-                seen += 1
-        return super().parse_known_args(args, namespace)
+    def __call__(self, parser, namespace, values, option_string=None):
+        command = parser.prog.rpartition(" ")[2]  # "lcfield eval" -> "eval"
+        parser.error(f"{command} does not take {option_string}")
 
 
-# argparse reads a word that matches this as a positional, not an option.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_REFUSED = dict(action=_Refused, nargs="?", help=argparse.SUPPRESS, default=argparse.SUPPRESS)
 
 
 @functools.cache
@@ -154,80 +159,34 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` leaves the parser unchanged (``--bind`` appends to a
     fresh copy of its empty default), so one instance serves every call.
     """
-
-    # One function per option: each subcommand lists the options it reads.
-    def precision(p):
-        p.add_argument(
-            "-T",
-            "--precision",
-            type=_positive_precision,
-            default=DEFAULT_PRECISION,
-            help=f"relative truncation order (default 16, 2 to {MAX_PRECISION})",
-        )
-
-    def fmt(p):
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="output format (default text)",
-        )
-
-    def seed(p):
-        p.add_argument(
-            "--seed",
-            type=_seed_value,
-            default=0,
-            help="sampling seed for transfer checks (default 0)",
-        )
-
-    def bind(p):
-        p.add_argument(
-            "-b",
-            "--bind",
-            action="append",
-            default=[],
-            metavar="NAME=EXPR",
-            help="bind a variable; may reference eps, H, and earlier bindings",
-        )
-
     parser = argparse.ArgumentParser(
         prog="lcfield",
         description="exact arithmetic with infinitesimal and infinite quantities",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, options) -> _Subcommand:
-        subparser = sub.add_parser(name, help=handler.__doc__, command=name)
-        for option in options:
-            option(subparser)
+    def command(name, handler, reads) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=handler.__doc__)
+        for key, (flags, settings) in OPTIONS.items():
+            subparser.add_argument(*flags, **(settings if key in reads else _REFUSED))
         subparser.set_defaults(handler=handler)
         return subparser
 
-    p_eval = command("eval", cmd_eval, [precision, fmt, bind])
+    p_eval = command("eval", cmd_eval, ("-T", "--format", "-b"))
     p_eval.add_argument("expr", help="expression in the DSL grammar")
 
-    p_diff = command("diff", cmd_diff, [precision, fmt, bind])
+    p_diff = command("diff", cmd_diff, ("-T", "--format", "-b"))
     p_diff.add_argument("expr", help="expression to differentiate")
     p_diff.add_argument("var", type=_name, help="variable of differentiation")
     p_diff.add_argument("point", type=_rational, help="assignable point, e.g. 3 or 5/2")
 
-    p_gallery = command("gallery", cmd_gallery, [precision, fmt])
+    p_gallery = command("gallery", cmd_gallery, ("-T", "--format", "--csv"))
     p_gallery.add_argument("example_id", choices=GALLERY)
-    p_gallery.add_argument(
-        "--csv",
-        metavar="PATH",
-        help="write (x0, y0, st_of_lhs) rows; ellipse_parabola only",
-    )
 
-    p_transfer = command("transfer", cmd_transfer, [precision, fmt, seed])
+    p_transfer = command("transfer", cmd_transfer, ("-T", "--format", "--seed"))
     p_transfer.add_argument("file", help="one 'lhs == rhs' per line, '#' comments")
 
-    command("repl", cmd_repl, [precision, bind])
-
-    every = set().union(*(p.takes for p in sub.choices.values()))
-    for p in sub.choices.values():
-        p.foreign = every - p.takes
+    command("repl", cmd_repl, ("-T", "-b"))
     return parser
 
 
@@ -321,20 +280,20 @@ def load_corpus(path: str) -> list[tuple[int, str, str]]:
     """(line number, lhs text, rhs text) triples from a corpus file.
 
     Blank lines and '#' comments (whole-line or trailing) are skipped.
-    Raises UsageError for a line without exactly one '=='.
+    Raises UsageError for a line without exactly one '=='.  The file is
+    decoded in one piece, so a UnicodeDecodeError gives its byte offset.
     """
-    entries = []
     with open(path, encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            sides = line.split("==")
-            if len(sides) != 2:
-                raise UsageError(
-                    f"line {number}: expected exactly one '==', got {raw.strip()!r}"
-                )
-            entries.append((number, sides[0].strip(), sides[1].strip()))
+        text = handle.read()
+    entries = []
+    for number, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        sides = line.split("==")
+        if len(sides) != 2:
+            raise UsageError(f"line {number}: expected exactly one '==', got {raw.strip()!r}")
+        entries.append((number, sides[0].strip(), sides[1].strip()))
     return entries
 
 
@@ -374,7 +333,7 @@ def cmd_transfer(args, out: TextIO, err: TextIO) -> int:
     """check a corpus of claimed identities"""
     try:
         entries = load_corpus(args.file)
-    except (UsageError, OSError) as exc:
+    except (UsageError, OSError, UnicodeDecodeError) as exc:
         print(exc, file=err)
         return 2
     parsed = _parse_corpus(entries, err)

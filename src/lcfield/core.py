@@ -69,6 +69,7 @@ __all__ = [
     "tlh_reduce",
     "agrees_to_guaranteed_order",
     "MAX_DIGITS",
+    "check_power",
     "check_printable",
 ]
 
@@ -539,9 +540,8 @@ def power(a: LCNumber, n: int) -> LCNumber:
     """Integer power by repeated squaring; ``a ** 0`` is 1 even for ``a == 0``.
 
     A power whose leading coefficient ``c0 ** n`` is sure to hold a number
-    of more than MAX_DIGITS digits raises before any multiplication: with
-    ``c0 = p/q`` reduced, ``|p| ** n`` and ``q ** n`` are at least
-    ``2 ** (n·(bit_length - 1))``.
+    of more than MAX_DIGITS digits raises before any multiplication (see
+    ``check_power``; ``c0 = p/q`` reduced).
     """
     if not isinstance(n, int):
         raise TypeError("exponent must be an integer")
@@ -550,9 +550,7 @@ def power(a: LCNumber, n: int) -> LCNumber:
     if n < 0:
         a, n = inverse(a), -n
     if a.n:
-        bits = (max(abs(a.n[0]), a.q) // gcd(a.n[0], a.q)).bit_length() - 1
-        if n * bits >= _DIGIT_BITS:
-            raise LCError(_TOO_LONG)
+        check_power(max(abs(a.n[0]), a.q) // gcd(a.n[0], a.q), n)
     result, base = None, a
     while True:
         if n & 1:
@@ -645,6 +643,14 @@ def agrees_to_guaranteed_order(a: LCNumber, b: LCNumber) -> bool:
     left = [(k * sa, n * b.q) for k, n in zip(a.k, a.n) if k * sa < bound]
     right = [(k * sb, n * a.q) for k, n in zip(b.k, b.n) if k * sb < bound]
     return left == right
+
+
+def check_power(m: int, n: int) -> None:
+    """Raise before computing a power ``x ** n`` when an integer ``m`` of
+    ``x`` makes it sure to hold a number of more than MAX_DIGITS digits:
+    ``|m| ** n`` is at least ``2 ** (n·(bit_length - 1))``."""
+    if n * (abs(m).bit_length() - 1) >= _DIGIT_BITS:
+        raise LCError(_TOO_LONG)
 
 
 def check_printable(value: LCNumber) -> LCNumber:

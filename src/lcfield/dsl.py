@@ -45,6 +45,7 @@ from .core import (
     LCNumber,
     add,
     agrees_to_guaranteed_order,
+    check_power,
     check_printable,
     make_monomial,
     make_real,
@@ -715,6 +716,9 @@ def _canon(node: Expr, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomi
                 "negative power of an identically zero base", node.pos
             )
         k = abs(node.exponent)
+        # In graded-lex order lc(P^k) = lc(P)^k: refuse before raising.
+        check_power(num.leading_coefficient, k)
+        check_power(den.leading_coefficient, k)
         return (den**k, num**k) if node.exponent < 0 else (num**k, den**k)
     if isinstance(node, Neg):
         num, den = _canon(node.arg, variables)

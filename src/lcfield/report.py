@@ -8,10 +8,8 @@ equality or classification membership, never a tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import Classification, LCNumber
-from .poly import Polynomial, RationalForm
+from .core import Classification
 
 __all__ = [
     "Claim",
@@ -23,14 +21,10 @@ __all__ = [
 
 
 def format_value(value: object) -> str:
-    if isinstance(value, (LCNumber, Polynomial, RationalForm)):
-        return value.render()
     if isinstance(value, Classification):
         return value.value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (Fraction, int)):
-        return str(value)
     if isinstance(value, tuple):
         return "(" + ", ".join(format_value(v) for v in value) + ")"
     return str(value)

@@ -583,6 +583,21 @@ def test_a_power_past_the_digit_cap_is_refused_before_it_is_computed(capsys, exp
     assert "Traceback" not in done.stderr
 
 
+# The canonical verdict raises a polynomial to the power before any sample
+# does; (2*eps/2)^20000 is refused on its unreduced coefficient 2.
+@pytest.mark.parametrize(
+    "line", ["2^99999999999 == 1", "x == (2*x)^-99999999999", "(2*eps/2)^20000 == eps^20000"]
+)
+def test_transfer_refuses_a_power_past_the_digit_cap_before_it_is_computed(
+    capsys, tmp_path, line
+):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "transfer", corpus(tmp_path, f"x == x\n{line}\n"))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"error: value has a number of more than {MAX_DIGITS} digits\n"
+
+
 def test_transfer_counterexample_past_the_digit_cap_exits_three(capsys, tmp_path):
     path = corpus(tmp_path, f"x == x\n10^{MAX_DIGITS} == 1\n")
     code, out, err = invoke(capsys, "transfer", path)
@@ -614,6 +629,17 @@ def test_transfer_missing_file_exits_two(capsys):
     code, _, err = invoke(capsys, "transfer", "/no/such/corpus.txt")
     assert code == 2
     assert err != ""
+
+
+# The position is the byte's offset in the file, past the first read buffer too.
+@pytest.mark.parametrize("lines", [1, 1500])
+def test_transfer_on_a_file_that_is_not_utf8_exits_two(capsys, tmp_path, lines):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"x == x\n" * lines + b"\xff\xfe == 1\n")
+    code, out, err = invoke(capsys, "transfer", str(path))
+    assert (code, out) == (2, "")
+    offset = 7 * lines
+    assert err == f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte\n"
 
 
 def test_transfer_malformed_line_exits_two(capsys, tmp_path):
@@ -728,16 +754,27 @@ def test_parser_defaults():
     assert build_parser().parse_args(["transfer", "corpus.txt"]).seed == 0
 
 
-# Each subcommand takes only the options it reads.
-UNREAD_OPTIONS = [
-    ("eval", "1", "--seed", "1"),
-    ("diff", "x", "x", "1", "--seed", "1"),
-    ("gallery", "product_rule", "--seed", "1"),
-    ("repl", "--seed", "1"),
-    ("gallery", "product_rule", "-b", "x=1"),
-    ("transfer", "CORPUS", "-b", "x=1"),
-    ("repl", "--format", "json"),
-]
+# Each subcommand takes only the options it reads, and refuses any other
+# that a subcommand takes by its name, wherever it stands: with or without
+# a value, attached or abbreviated.
+UNREAD_OPTIONS = {
+    ("eval", "1", "--seed", "1"): "--seed",
+    ("diff", "x", "x", "1", "--seed", "1"): "--seed",
+    ("gallery", "product_rule", "--seed", "1"): "--seed",
+    ("repl", "--seed", "1"): "--seed",
+    ("gallery", "product_rule", "-b", "x=1"): "-b",
+    ("transfer", "CORPUS", "-b", "x=1"): "-b",
+    ("repl", "--format", "json"): "--format",
+    # before a positional, which would take the value of an unknown option
+    ("gallery", "-b", "x=1", "product_rule"): "-b",
+    ("transfer", "-b", "x=1", "CORPUS"): "-b",
+    ("eval", "--seed"): "--seed",
+    ("eval", "--seed=1", "1"): "--seed",
+    ("gallery", "-bx=1", "product_rule"): "-b",
+    ("transfer", "--bind=x=1", "CORPUS"): "--bind",
+    ("eval", "--csv", "x", "1"): "--csv",
+    ("eval", "--se", "1", "1"): "--seed",
+}
 
 
 @pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=" ".join)
@@ -745,22 +782,17 @@ def test_an_option_the_subcommand_does_not_read_is_a_usage_error(
     monkeypatch, capsys, tmp_path, argv
 ):
     monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
-    argv = [corpus(tmp_path, "x == x\n") if a == "CORPUS" else a for a in argv]
-    code, out, err = invoke(capsys, *argv)
+    words = [corpus(tmp_path, "x == x\n") if a == "CORPUS" else a for a in argv]
+    code, out, err = invoke(capsys, *words)
     assert (code, out) == (2, "")
-    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+    command, option = argv[0], UNREAD_OPTIONS[argv]
+    assert err.endswith(f"lcfield {command}: error: {command} does not take {option}\n")
 
 
-# argparse would hand such an option's value to the positional after it.
-@pytest.mark.parametrize(
-    "argv", [("gallery", "-b", "x=1", "product_rule"), ("transfer", "-b", "x=1", "CORPUS")],
-    ids=" ".join,
-)
-def test_an_unread_option_before_a_positional_is_named(capsys, tmp_path, argv):
-    argv = [corpus(tmp_path, "x == x\n") if a == "CORPUS" else a for a in argv]
-    code, out, err = invoke(capsys, *argv)
+def test_an_option_no_subcommand_takes_is_unrecognized(capsys):
+    code, out, err = invoke(capsys, "eval", "1", "--foo")
     assert (code, out) == (2, "")
-    assert err.endswith(f"lcfield {argv[0]}: error: {argv[0]} does not take -b\n")
+    assert err.endswith("lcfield: error: unrecognized arguments: --foo\n")
 
 
 MINUS_POSITIONALS = {
