@@ -27,8 +27,10 @@ from .core import (
     standard_part,
 )
 from .dsl import (
+    Const,
     Expr,
     LexError,
+    Neg,
     NonRationalNode,
     ParseError,
     RESERVED_WORDS,
@@ -88,10 +90,17 @@ def _seed_value(text: str) -> int:
 
 
 def _rational(text: str) -> Fraction:
+    """``text`` as a point: a DSL number literal or ``p/q``, optionally negated."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        node = parse_text(text)
+    except (LexError, ParseError) as exc:
+        raise UsageError(str(exc)) from exc
+    match node:
+        case Const(value=value):
+            return value
+        case Neg(arg=Const(value=value)):
+            return -value
+    raise UsageError(f"not a rational number: {text!r}")
 
 
 def _name(text: str) -> str:
@@ -237,6 +246,10 @@ def cmd_eval(args, out: TextIO, err: TextIO) -> int:
 
 def cmd_diff(args, out: TextIO, err: TextIO) -> int:
     """derivative via an infinitesimal increment"""
+    # argparse before 3.12 gives a positional that received only a second
+    # "--" the value [], without calling its type
+    if [] in (args.var, args.point):
+        raise UsageError("'--' may appear only once")
     env = _environment(args)
     result = derivative_at(
         parse_text(args.expr), args.var, args.point, env, args.precision

@@ -18,9 +18,8 @@ as ``mul(a, inverse(a))`` agrees with the exact answer to the guaranteed
 order only.
 
 No operation changes a value once built, and every operation is a pure
-function, so values may be freely shared across threads (the cached
-``terms`` tuple is the same whichever thread builds it first).  Floats
-are rejected everywhere.
+function, so values may be freely shared across threads.  Floats are
+rejected everywhere.
 
 A value is stored on its integer lattice: ``int`` exponent numerators
 over one exponent denominator and ``int`` coefficient numerators over
@@ -39,11 +38,10 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 __all__ = [
     "DEFAULT_PRECISION",
-    "Rational",
     "LCError",
     "DivisionByZero",
     "NegativeLeadingCoefficient",
@@ -83,9 +81,6 @@ _DIGIT_BOUND = 10**MAX_DIGITS
 # 2**b >= 10**MAX_DIGITS exactly when b >= _DIGIT_BITS.
 _DIGIT_BITS = _DIGIT_BOUND.bit_length()
 _TOO_LONG = f"value has a number of more than {MAX_DIGITS} digits"
-
-# Assignable quantities are exact rationals throughout.
-Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 
@@ -157,15 +152,15 @@ class LCNumber:
     window.  Both denominators are positive and reduced
     (``gcd(d, *k) == 1``, ``gcd(q, *n) == 1``; zero has ``d == q == 1``),
     so equal values have equal fields.  ``terms`` is the same series as
-    reduced ``(exponent, coefficient)`` ``Fraction`` pairs, built on first
-    use.  Build values through :func:`make_real`, :func:`make_monomial` or
+    reduced ``(exponent, coefficient)`` ``Fraction`` pairs, built on each
+    read.  Build values through :func:`make_real`, :func:`make_monomial` or
     :meth:`from_terms`; direct construction skips normalization.
 
     Equality compares the series only: precision is a statement about
     which exponents are guaranteed, not part of the value.
     """
 
-    __slots__ = ("k", "d", "n", "q", "precision", "_terms")
+    __slots__ = ("k", "d", "n", "q", "precision")
 
     def __init__(
         self,
@@ -180,7 +175,6 @@ class LCNumber:
         self.n = n
         self.q = q
         self.precision = precision
-        self._terms: tuple[tuple[Fraction, Fraction], ...] | None = None
 
     @classmethod
     def from_terms(
@@ -200,28 +194,12 @@ class LCNumber:
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """``(exponent, coefficient)`` pairs, ascending, as reduced ``Fraction``s."""
-        terms = self._terms
-        if terms is None:
-            d, q = self.d, self.q
-            terms = self._terms = tuple(
-                (Fraction(k, d), Fraction(n, q)) for k, n in zip(self.k, self.n)
-            )
-        return terms
+        d, q = self.d, self.q
+        return tuple((Fraction(k, d), Fraction(n, q)) for k, n in zip(self.k, self.n))
 
     @property
     def is_zero(self) -> bool:
         return not self.k
-
-    @property
-    def leading_coefficient(self) -> Fraction | None:
-        return Fraction(self.n[0], self.q) if self.n else None
-
-    @property
-    def window(self) -> Fraction | None:
-        """Exclusive upper bound of guaranteed exponents; ``None`` means unbounded."""
-        if not self.k:
-            return None
-        return Fraction(self.k[0] + self.precision * self.d, self.d)
 
     def coefficient(self, exponent: RationalLike) -> Fraction:
         ek, ed = _ratio(exponent)
@@ -231,9 +209,6 @@ class LCNumber:
             if i < len(self.k) and self.k[i] == k:
                 return Fraction(self.n[i], self.q)
         return _ZERO
-
-    def __iter__(self) -> Iterator[tuple[Fraction, Fraction]]:
-        return iter(self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.k)
@@ -248,10 +223,11 @@ class LCNumber:
 
     def render(self) -> str:
         """Ascending-exponent text form, e.g. ``1 - 4·eps`` or ``eps^-1``."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for i, (exp, coef) in enumerate(self.terms):
+        for i, (exp, coef) in enumerate(terms):
             negative = coef < 0
             mag = -coef if negative else coef
             if exp == 0:
@@ -655,7 +631,7 @@ def check_power(m: int, n: int) -> None:
 
 def check_printable(value: LCNumber) -> LCNumber:
     """``value``, unless a number in it has more than MAX_DIGITS digits."""
-    numbers = (n for term in value for q in term for n in (q.numerator, q.denominator))
+    numbers = (n for term in value.terms for q in term for n in (q.numerator, q.denominator))
     if any(abs(n) >= _DIGIT_BOUND for n in numbers):
         raise LCError(_TOO_LONG)
     return value

@@ -125,10 +125,9 @@ class LexError(ValueError):
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, position: int, expected: str):
+    def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-        self.expected = expected
 
 
 class NonRationalNode(ValueError):
@@ -308,27 +307,21 @@ class _Parser:
     def expect(self, kind: str, expected: str) -> Token:
         tok = self.peek()
         if tok is None or tok.kind != kind:
-            raise ParseError(
-                f"expected {expected}", self.next_position(), expected
-            )
+            raise ParseError(f"expected {expected}", self.next_position())
         return self.advance()
 
     def parse(self) -> Expr:
         node = self.expr()
         tok = self.peek()
         if tok is not None:
-            raise ParseError(
-                f"unexpected {tok.text!r}", tok.position, "end of input"
-            )
+            raise ParseError(f"unexpected {tok.text!r}", tok.position)
         return node
 
     def nested(self, opener: Token, rule) -> Expr:
         """``rule()`` parsed one nesting level below ``opener``."""
         if self.nesting == MAX_DEPTH:
             raise ParseError(
-                f"expression nested more than {MAX_DEPTH} levels deep",
-                opener.position,
-                "a shallower expression",
+                f"expression nested more than {MAX_DEPTH} levels deep", opener.position
             )
         self.nesting += 1
         inner = rule()
@@ -378,18 +371,14 @@ class _Parser:
             sign = -1
         tok = self.peek()
         if tok is None or tok.kind != "number" or "." in tok.text:
-            raise ParseError(
-                "expected an integer literal exponent",
-                self.next_position(),
-                "integer literal",
-            )
+            raise ParseError("expected an integer literal exponent", self.next_position())
         self.advance()
         return sign * int(tok.text)
 
     def atom(self) -> Expr:
         tok = self.peek()
         if tok is None:
-            raise ParseError("expected a value", self.length, "a value")
+            raise ParseError("expected a value", self.length)
         if tok.kind == "number":
             self.advance()
             value = _fraction_from_literal(tok.text)
@@ -423,20 +412,14 @@ class _Parser:
                 cls = Sqrt if name == "sqrt" else St
                 return cls(inner, pos=tok.position)
             if name not in self.names and len(self.names) == MAX_VARIABLES:
-                raise ParseError(
-                    f"more than {MAX_VARIABLES} distinct variables",
-                    tok.position,
-                    "a variable already used",
-                )
+                raise ParseError(f"more than {MAX_VARIABLES} distinct variables", tok.position)
             self.names.add(name)
             return Var(name, pos=tok.position)
         if tok.kind == "lparen":
             inner = self.nested(self.advance(), self.expr)
             self.expect("rparen", "')'")
             return inner
-        raise ParseError(
-            f"unexpected {tok.text!r}", tok.position, "a value"
-        )
+        raise ParseError(f"unexpected {tok.text!r}", tok.position)
 
 
 def _fraction_from_literal(text: str) -> Fraction:
@@ -693,20 +676,16 @@ def _canon(node: Expr, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomi
             num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
         return num, den
     if isinstance(node, Mul):
-        # Every divisor first, right to left, as nested binary nodes did,
-        # so a chain with several zero divisors reports the same one.
-        slashes, divisors = reversed(node.positions), []
-        for op, arg in zip(reversed(node.ops), reversed(node.args)):
-            if op == "/":
-                at = next(slashes, node.pos)
-                n, d = _canon(arg, variables)
-                if n.is_zero:
-                    raise DivisionByZero("denominator is identically zero", at)
-                divisors.append((d, n))
-        args = iter(node.args)
+        # Left to right, as evaluate goes: the first zero divisor is blamed.
+        args, slashes = iter(node.args), iter(node.positions)
         num, den = _canon(next(args), variables)
         for op, arg in zip(node.ops, args):
-            n, d = _canon(arg, variables) if op == "*" else divisors.pop()
+            n, d = _canon(arg, variables)
+            if op == "/":
+                at = next(slashes, node.pos)
+                if n.is_zero:
+                    raise DivisionByZero("denominator is identically zero", at)
+                n, d = d, n
             num, den = num * n, den * d
         return num, den
     if isinstance(node, Pow):
@@ -745,14 +724,6 @@ class TransferReport:
     infinite_samples: tuple[dict, ...]
     counterexample: dict | None
     seed: int
-
-    @property
-    def samples_consistent(self) -> bool:
-        """No conclusive sample contradicts the canonical verdict."""
-        records = self.finite_samples + self.infinite_samples
-        if self.identity:
-            return all(r["agree"] is not False for r in records)
-        return True
 
     def to_json(self) -> dict:
         return {

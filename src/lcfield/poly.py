@@ -23,7 +23,7 @@ def _grlex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Polynomial:
     """``terms`` maps exponent tuples to nonzero coefficients, stored in
     descending graded-lex order so the leading term is ``terms[0]``."""
@@ -72,14 +72,6 @@ class Polynomial:
     @property
     def leading_coefficient(self) -> int:
         return self.terms[0][1] if self.terms else 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.variables, self.terms))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -340,6 +341,35 @@ def test_diff_invalid_point_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["diff", "x^2", "x", "abc"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "point, shadow", [("5/2", "5"), ("-1/2", "-1"), ("- 1/2", "-1"), ("3.5", "7"), ("(3)", "6")]
+)
+def test_diff_point_is_a_dsl_number_literal_or_ratio(capsys, point, shadow):
+    code, out, err = invoke(capsys, "diff", "x^2", "x", "--", point)
+    assert (code, err) == (0, "")
+    assert f"shadow: {shadow}" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "point",
+    ["1e999999999", pytest.param("1" * (MAX_DIGITS + 1), id="too_long"), "1e3", "1_000", "+2",
+     "x", "1/0", "--1"],
+)
+def test_diff_point_outside_the_dsl_number_rule_is_a_usage_error(capsys, point):
+    # 1e999999999 stops at the "e" and is never built digit by digit
+    code, out, err = invoke(capsys, "diff", "x^2", "x", "--", point)
+    assert (code, out) == (2, "")
+    assert "lcfield diff: error: argument point: " in err
+
+
+@pytest.mark.parametrize("argv", [("x", "--", "--", "1"), ("x^2", "x", "--", "--")])
+def test_a_second_double_dash_in_diff_is_a_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, "diff", *argv)
+    assert (code, out) == (2, "")
+    if not err.startswith("usage:"):  # newer argparse reads the second "--" as a value
+        assert err == "error: '--' may appear only once\n"
 
 
 def test_diff_infinite_quotient_exits_three(capsys):
@@ -845,3 +875,44 @@ def test_a_binding_takes_exactly_the_names_that_can_be_unbound(capsys, name):
 def test_parse_bindings_returns_named_trees():
     pairs = parse_bindings(["a=1+eps", "b=a^2"])
     assert [name for name, _ in pairs] == ["a", "b"]
+
+
+# Command-line text: DSL tokens, digits and pieces the lexer refuses.  An
+# exponent literal keeps at most two digits: a huge power of a series with
+# a lead of 1 is not bounded yet.
+FUZZ_TEXT = (
+    st.lists(
+        st.sampled_from(
+            ["x", "y", "eps", "H", "sqrt(", "st(", "(", ")", "+", "-", "*", "/", "^", ".",
+             "0", "1", "2", "9", "e", "_", "--", " ", "=", "=="]
+        ),
+        max_size=8,
+    )
+    .map("".join)
+    .map(lambda text: re.sub(r"(\^[ -]*\d\d)\d+", r"\1", text))
+)
+
+
+@st.composite
+def fuzz_argvs(draw):
+    command = draw(st.sampled_from(["eval", "diff", "transfer"]))
+    if command == "transfer":
+        words = ["CORPUS"]
+    else:
+        words = [draw(FUZZ_TEXT) for _ in range(1 if command == "eval" else 3)]
+    if draw(st.booleans()):
+        words[:0] = ["-b", draw(FUZZ_TEXT)]
+    for _ in range(draw(st.integers(0, 2))):
+        words.insert(draw(st.integers(0, len(words))), "--")
+    return [command, *words], f"{draw(FUZZ_TEXT)} == {draw(FUZZ_TEXT)}\n"
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_argvs())
+@example((["diff", "x", "--", "--", "1"], ""))
+@example((["diff", "x^2", "x", "--", "--"], ""))
+def test_any_command_line_exits_with_a_documented_code(capsys, tmp_path, case):
+    argv, line = case
+    path = corpus(tmp_path, line)
+    code, _, _ = invoke(capsys, *(path if word == "CORPUS" else word for word in argv))
+    assert code in (0, 2, 3, 4)

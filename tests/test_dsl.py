@@ -596,12 +596,22 @@ def test_canonicalize_rejects_identically_zero_denominators():
 
 
 @pytest.mark.parametrize(
-    "source, position", [("1/(x - x)/(y - y)", 9), ("(x - x)^-1/(y - y)", 10)]
+    "source, position, message",
+    [
+        ("1/0/0", 1, "denominator is identically zero"),
+        ("1/(x - x)/(y - y)", 1, "denominator is identically zero"),
+        ("(x - x)^-1/(y - y)", 7, "negative power of an identically zero base"),
+    ],
+    ids=["one_over_zero_twice", "two_zero_divisors", "zero_power_first"],
 )
-def test_canonicalize_checks_a_chains_divisors_right_to_left(source, position):
-    # as the nested binary nodes did, so the same zero divisor is reported
+def test_canonicalize_blames_a_chains_first_zero_divisor(source, position, message):
+    # one left-to-right pass over a chain, so both report the same spot
+    tree = parse_text(source)
+    with pytest.raises(DivisionByZero, match=message) as info:
+        canonicalize(tree)
+    assert info.value.position == position
     with pytest.raises(DivisionByZero) as info:
-        canonicalize(parse_text(source))
+        evaluate(tree, {"x": make_real(1), "y": make_real(2)})
     assert info.value.position == position
 
 

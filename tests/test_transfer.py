@@ -35,7 +35,6 @@ def test_binomial_square_is_an_identity_everywhere():
     assert len(report.infinite_samples) == 20
     assert all(r["agree"] is True for r in report.finite_samples)
     assert all(r["agree"] is True for r in report.infinite_samples)
-    assert report.samples_consistent
 
 
 def test_unit_reciprocal_identity_has_no_variables():
