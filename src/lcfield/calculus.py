@@ -38,6 +38,7 @@ from .dsl import (
     HUnit,
     Mul,
     Neg,
+    NonRationalNode,
     Pow,
     Sqrt,
     St,
@@ -68,12 +69,8 @@ class InconsistentDiffResult(LCError):
     or whose ``discarded`` part is not zero or infinitesimal."""
 
 
-class UnsupportedNode(ValueError):
+class UnsupportedNode(NonRationalNode):
     """The symbolic oracle covers the rational fragment only."""
-
-    def __init__(self, message: str, position: int = -1):
-        super().__init__(message)
-        self.position = position
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,7 @@ def derivative_at(
     assign); evaluation errors from ``f`` itself propagate unchanged.
     """
     quotient = differential_quotient(
-        f, var, make_real(Fraction(point), precision), env
+        f, var, make_real(point, precision), env
     )
     if classify(quotient) is Classification.INFINITE:
         raise NotFinite(f"differential quotient at {point} is infinite")
@@ -163,7 +160,7 @@ def product_rule_report(
     infinitesimal (or zero), which is exactly why dropping it is
     harmless.
     """
-    p = make_real(Fraction(point), precision)
+    p = make_real(point, precision)
     e = eps(precision)
     bindings = dict(env or {})
 
@@ -202,7 +199,7 @@ def product_rule_report(
     parameters = (
         f"u = {to_source(u)}",
         f"v = {to_source(v)}",
-        f"{var} = {Fraction(point)}",
+        f"{var} = {point}",
     )
     return GalleryReport("product_rule", parameters, claims)
 

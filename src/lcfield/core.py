@@ -197,10 +197,6 @@ class LCNumber:
         d, q = self.d, self.q
         return tuple((Fraction(k, d), Fraction(n, q)) for k, n in zip(self.k, self.n))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.k
-
     def coefficient(self, exponent: RationalLike) -> Fraction:
         ek, ed = _ratio(exponent)
         k, off_lattice = divmod(ek * self.d, ed)
@@ -415,21 +411,8 @@ def big_h(precision: int = DEFAULT_PRECISION) -> LCNumber:
 
 
 def add(a: LCNumber, b: LCNumber) -> LCNumber:
-    """Exact sum, claimed only below the nearer of the two windows.
-
-    Both operands move to the common denominators ``d`` and ``q`` and
-    their numerators are merged as ``int``s.
-    """
-    d, q = lcm(a.d, b.d), lcm(a.q, b.q)
-    sa, ta = d // a.d, q // a.q
-    merged = {k * sa: n * ta for k, n in zip(a.k, a.n)}
-    sb, tb = d // b.d, q // b.q
-    for k, n in zip(b.k, b.n):
-        k *= sb
-        merged[k] = merged.get(k, 0) + n * tb
-    windows = [x.k[0] * (d // x.d) + x.precision * d for x in (a, b) if x.k]
-    precision = min(a.precision, b.precision)
-    return _normalize(merged, d, q, precision, min(windows) if windows else None)
+    """Exact sum, claimed only below the nearer of the two windows."""
+    return _merge(a, b, 1)
 
 
 def neg(a: LCNumber) -> LCNumber:
@@ -437,7 +420,22 @@ def neg(a: LCNumber) -> LCNumber:
 
 
 def sub(a: LCNumber, b: LCNumber) -> LCNumber:
-    return add(a, neg(b))
+    return _merge(a, b, -1)
+
+
+def _merge(a: LCNumber, b: LCNumber, sign: int) -> LCNumber:
+    """``a + sign·b``: both operands move to the common denominators
+    ``d`` and ``q`` and their numerators are merged as ``int``s."""
+    d, q = lcm(a.d, b.d), lcm(a.q, b.q)
+    sa, ta = d // a.d, q // a.q
+    merged = {k * sa: n * ta for k, n in zip(a.k, a.n)}
+    sb, tb = d // b.d, sign * (q // b.q)
+    for k, n in zip(b.k, b.n):
+        k *= sb
+        merged[k] = merged.get(k, 0) + n * tb
+    windows = [x.k[0] * (d // x.d) + x.precision * d for x in (a, b) if x.k]
+    precision = min(a.precision, b.precision)
+    return _normalize(merged, d, q, precision, min(windows) if windows else None)
 
 
 def mul(a: LCNumber, b: LCNumber) -> LCNumber:
@@ -607,18 +605,11 @@ def tlh_reduce(a: LCNumber) -> LCNumber:
 def agrees_to_guaranteed_order(a: LCNumber, b: LCNumber) -> bool:
     """True when a and b match on every exponent below both windows.
 
-    Exponents move to the common denominator; coefficients are compared
-    crosswise, ``n_a·q_b == n_b·q_a``.
+    ``sub`` keeps exactly the nonzero differences below both windows (its
+    lead always survives the truncation), so agreement is an empty
+    difference.
     """
-    d = lcm(a.d, b.d)
-    windows = [x.k[0] * (d // x.d) + x.precision * d for x in (a, b) if x.k]
-    if not windows:
-        return True
-    bound = min(windows)
-    sa, sb = d // a.d, d // b.d
-    left = [(k * sa, n * b.q) for k, n in zip(a.k, a.n) if k * sa < bound]
-    right = [(k * sb, n * a.q) for k, n in zip(b.k, b.n) if k * sb < bound]
-    return left == right
+    return not sub(a, b).k
 
 
 def check_power(m: int, n: int) -> None:

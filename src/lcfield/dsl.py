@@ -105,19 +105,6 @@ MAX_DEPTH = 100
 # also rejects an expression's distinct variable names past this count.
 MAX_VARIABLES = 100
 
-_SINGLE_CHAR_TOKENS = {
-    "+": "plus",
-    "-": "minus",
-    "*": "star",
-    "·": "star",
-    "/": "slash",
-    "^": "caret",
-    "(": "lparen",
-    ")": "rparen",
-    ",": "comma",
-}
-
-
 class LexError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -159,8 +146,9 @@ def tokenize(source: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch in _SINGLE_CHAR_TOKENS:
-            tokens.append(Token(_SINGLE_CHAR_TOKENS[ch], ch, i))
+        if ch in "+-*·/^()":
+            # an operator's kind is its character, and "·" reads as "*"
+            tokens.append(Token("*" if ch == "·" else ch, ch, i))
             i += 1
             continue
         if ch.isdecimal():  # not isdigit(): int() refuses '²' and '①'
@@ -197,31 +185,29 @@ def tokenize(source: str) -> list[Token]:
 class Expr:
     """Base node.  ``pos`` is a source offset, excluded from equality."""
 
+    pos: int = field(default=-1, compare=False, kw_only=True)
+
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: Fraction
-    pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
-    pos: int = field(default=-1, compare=False)
 
     def __post_init__(self):
         if self.name in RESERVED_WORDS:
             raise ValueError(f"{self.name!r} is a reserved word")
 
 
-@dataclass(frozen=True)
 class Eps(Expr):
-    pos: int = field(default=-1, compare=False)
+    """The infinitesimal unit ``eps``."""
 
 
-@dataclass(frozen=True)
 class HUnit(Expr):
-    pos: int = field(default=-1, compare=False)
+    """The infinite unit ``H``."""
 
 
 @dataclass(frozen=True)
@@ -237,7 +223,6 @@ class _Chain(Expr):
 
     args: tuple[Expr, ...]
     ops: str
-    pos: int = field(default=-1, compare=False)
     positions: tuple[int, ...] = field(default=(), compare=False)
 
 
@@ -253,34 +238,27 @@ class Mul(_Chain):
 class Pow(Expr):
     base: Expr
     exponent: int
-    pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
 class Sqrt(Expr):
     arg: Expr
-    pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
 class St(Expr):
     arg: Expr
-    pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-    pos: int = field(default=-1, compare=False)
 
 
 # -- parser --------------------------------------------------------------
 
 
-_CHAIN_OPS = {
-    Add: {"plus": "+", "minus": "-"},
-    Mul: {"star": "*", "slash": "/"},
-}
+_CHAIN_OPS = {Add: "+-", Mul: "*/"}
 
 
 class _Parser:
@@ -342,15 +320,15 @@ class _Parser:
             args, text, slashes, pos = [node], [], [], tok.position
         while (tok := self.peek()) is not None and tok.kind in ops:
             self.advance()
-            text.append(ops[tok.kind])
-            if tok.kind == "slash":
+            text.append(tok.kind)
+            if tok.kind == "/":
                 slashes.append(tok.position)
             args.append(self.expr(Mul) if cls is Add else self.factor())
-        return cls(tuple(args), "".join(text), pos, tuple(slashes))
+        return cls(tuple(args), "".join(text), tuple(slashes), pos=pos)
 
     def factor(self) -> Expr:
         tok = self.peek()
-        if tok is not None and tok.kind == "minus":
+        if tok is not None and tok.kind == "-":
             self.advance()
             return Neg(self.nested(tok, self.factor), pos=tok.position)
         return self.power()
@@ -358,7 +336,7 @@ class _Parser:
     def power(self) -> Expr:
         node = self.atom()
         tok = self.peek()
-        if tok is not None and tok.kind == "caret":
+        if tok is not None and tok.kind == "^":
             self.advance()
             node = Pow(node, self.int_literal(), pos=tok.position)
         return node
@@ -366,7 +344,7 @@ class _Parser:
     def int_literal(self) -> int:
         sign = 1
         tok = self.peek()
-        if tok is not None and tok.kind == "minus":
+        if tok is not None and tok.kind == "-":
             self.advance()
             sign = -1
         tok = self.peek()
@@ -387,12 +365,12 @@ class _Parser:
             nxt, den, after = self.peek(0), self.peek(1), self.peek(2)
             if (
                 nxt is not None
-                and nxt.kind == "slash"
+                and nxt.kind == "/"
                 and den is not None
                 and den.kind == "number"
                 and "." not in den.text
                 and int(den.text) > 0
-                and (after is None or after.kind != "caret")
+                and (after is None or after.kind != "^")
             ):
                 self.advance()
                 self.advance()
@@ -406,18 +384,18 @@ class _Parser:
             if name == "H":
                 return HUnit(pos=tok.position)
             if name in ("sqrt", "st"):
-                opener = self.expect("lparen", f"'(' after {name}")
+                opener = self.expect("(", f"'(' after {name}")
                 inner = self.nested(opener, self.expr)
-                self.expect("rparen", "')'")
+                self.expect(")", "')'")
                 cls = Sqrt if name == "sqrt" else St
                 return cls(inner, pos=tok.position)
             if name not in self.names and len(self.names) == MAX_VARIABLES:
                 raise ParseError(f"more than {MAX_VARIABLES} distinct variables", tok.position)
             self.names.add(name)
             return Var(name, pos=tok.position)
-        if tok.kind == "lparen":
+        if tok.kind == "(":
             inner = self.nested(self.advance(), self.expr)
-            self.expect("rparen", "')'")
+            self.expect(")", "')'")
             return inner
         raise ParseError(f"unexpected {tok.text!r}", tok.position)
 
@@ -702,7 +680,7 @@ def _canon(node: Expr, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomi
     if isinstance(node, Neg):
         num, den = _canon(node.arg, variables)
         return -num, den
-    raise NonRationalNode("not a rational node", getattr(node, "pos", -1))
+    raise NonRationalNode("not a rational node", node.pos)
 
 
 # -- transfer checking -------------------------------------------------------
@@ -714,7 +692,8 @@ class TransferReport:
 
     ``identity`` is the exact rational-function verdict.  Each sample entry is
     ``{"point": {name: rendered value}, "agree": bool | None}`` with
-    ``None`` marking a point that kept hitting vanishing denominators.
+    ``None`` marking a point that kept hitting vanishing denominators or
+    values past the digit cap.
     ``counterexample`` is a concrete finite witness when the verdict is
     negative, else ``None``.
     """
@@ -738,17 +717,13 @@ class TransferReport:
 _RESAMPLE_CAP = 100
 
 
-def _draw_small_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
 def _draw_nonzero_rational(rng: random.Random) -> Fraction:
     value = Fraction(rng.randint(1, 9), rng.randint(1, 9))
     return value if rng.random() < 0.5 else -value
 
 
 def _draw_finite(rng: random.Random, precision: int) -> LCNumber:
-    return make_real(_draw_small_rational(rng), precision)
+    return make_real(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), precision)
 
 
 def _draw_mixed(rng: random.Random, precision: int) -> LCNumber:
@@ -766,10 +741,11 @@ def _draw_mixed(rng: random.Random, precision: int) -> LCNumber:
 
 
 def _both_sides(e1, e2, point, precision):
-    """``(lhs, rhs)`` at ``point``, or ``None`` where a denominator vanishes."""
+    """``(lhs, rhs)`` at ``point``, or ``None`` where a side cannot be
+    evaluated: a denominator vanishes or a number passes the digit cap."""
     try:
         return evaluate(e1, point, precision), evaluate(e2, point, precision)
-    except DivisionByZero:
+    except LCError:
         return None
 
 
@@ -850,8 +826,10 @@ def identities_transfer_check(
     coordinates, then points mixing infinitesimal and infinite
     coordinates.  Sampled agreement means agreement to the guaranteed
     order, so a canonical identity agrees at every pole-free sample.
-    Deterministic for a given seed; points whose denominators vanish
-    are redrawn, up to a cap, then marked inconclusive.
+    Deterministic for a given seed; points where a side cannot be
+    evaluated (a vanishing denominator, a number past the digit cap) are
+    redrawn, up to a cap, then marked inconclusive, and skipped in the
+    witness search.
 
     The verdict is whether ``N1·D2 - N2·D1`` vanishes, for the trees'
     unreduced fractions ``N/D``; no gcd is taken.  A non-identity's

@@ -130,7 +130,6 @@ def infinitesimal_equality_report(
     """``2x + eps`` against ``2x``: unequal, infinitely close, equal again
     once the lower stratum is dropped (except at x = 0, where eps is the
     leading stratum and survives)."""
-    x = Fraction(x)
     base = make_real(2 * x, precision)
     bumped = add(base, eps(precision))
     claims = [

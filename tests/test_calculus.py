@@ -30,7 +30,7 @@ from lcfield.calculus import (
     product_rule_report,
     symbolic_derivative,
 )
-from lcfield.dsl import Const, canonicalize, evaluate, parse_text
+from lcfield.dsl import Const, NonRationalNode, canonicalize, evaluate, parse_text
 
 from _gen import expressions, rationals
 
@@ -246,8 +246,10 @@ def test_symbolic_derivative_of_power_zero():
 
 
 def test_symbolic_derivative_rejects_sqrt_and_st():
-    with pytest.raises(UnsupportedNode):
+    # one error for a node outside the rational fragment, as canonicalize raises
+    with pytest.raises(NonRationalNode) as info:
         symbolic_derivative(parse_text("sqrt(x)"), "x")
+    assert isinstance(info.value, UnsupportedNode)
     with pytest.raises(UnsupportedNode) as info:
         symbolic_derivative(parse_text("1 + st(x)"), "x")
     assert info.value.position == 4

@@ -635,6 +635,20 @@ def test_transfer_counterexample_past_the_digit_cap_exits_three(capsys, tmp_path
     assert err == f"error: value has a number of more than {MAX_DIGITS} digits\n"
 
 
+def test_transfer_redraws_a_sample_point_whose_value_passes_the_digit_cap(capsys, tmp_path):
+    # only x in {-1, 0, 1} keeps x^20000 under the digit cap; other points are redrawn
+    code, out, err = invoke(capsys, "transfer", corpus(tmp_path, "x^20000 == x^20000\n"))
+    assert (code, err) == (0, "")
+    assert out == "[PASS] line 1: x^20000 == x^20000\nchecked 1: 1 hold, 0 fail\n"
+    code, out, _ = invoke(
+        capsys, "transfer", "--format", "json", corpus(tmp_path, "x^20000 == x^20000\n")
+    )
+    samples = json.loads(out)[0]["report"]["finite_samples"]
+    assert code == 0
+    assert {s["point"]["x"] for s in samples} <= {"-1", "0", "1"}
+    assert all(s["agree"] for s in samples)
+
+
 def test_transfer_passes_an_expansion_of_more_than_a_hundred_terms(capsys, tmp_path):
     # (x + y + z + w + u)^5 == its multinomial expansion, written out
     names, terms = "xyzwu", []

@@ -25,14 +25,18 @@ from lcfield import (
     big_h,
     classify,
     compare,
+    derivative_at,
     eps,
+    infinitesimal_equality_report,
     inverse,
     is_infinitely_close,
     make_monomial,
     make_real,
     mul,
     neg,
+    parse_text,
     power,
+    product_rule_report,
     sqrt,
     standard_part,
     sub,
@@ -56,7 +60,7 @@ def test_from_terms_merges_sorts_and_drops_zeros():
 def test_zero_has_no_terms_and_no_leading_exponent():
     z = make_real(0)
     assert z.terms == ()
-    assert z.is_zero
+    assert not z
     assert classify(z) is Classification.ZERO
 
 
@@ -73,6 +77,13 @@ def test_floats_are_rejected():
         LCNumber.from_terms([(0, 0.5)])
     with pytest.raises(TypeError):
         make_monomial(1, 0.5)
+    # a float reaches make_real unconverted from every rational-point entry
+    with pytest.raises(TypeError):
+        derivative_at(parse_text("x^2"), "x", 0.5)
+    with pytest.raises(TypeError):
+        product_rule_report(parse_text("x"), parse_text("x^2"), "x", 0.5)
+    with pytest.raises(TypeError):
+        infinitesimal_equality_report(0.1)
 
 
 def test_precision_must_be_a_positive_integer():
@@ -318,6 +329,15 @@ def test_add_matches_the_fraction_keyed_reference(pair):
     assert _result(sub(a, b)) == _reference_add(a, neg(b))
 
 
+@given(st.one_of(st.tuples(parity_operands(), parity_operands()), prefix_pairs(-1), prefix_pairs(1)))
+def test_sub_is_add_of_the_negation(pair):
+    a, b = pair
+    diff, via_neg = sub(a, b), add(a, neg(b))
+    assert (diff.k, diff.d, diff.n, diff.q, diff.precision) == (
+        via_neg.k, via_neg.d, via_neg.n, via_neg.q, via_neg.precision
+    )
+
+
 @given(parity_operands(), parity_operands())
 def test_mul_matches_the_fraction_keyed_reference(a, b):
     assert _result(mul(a, b)) == _reference_mul(a, b)
@@ -493,8 +513,8 @@ def test_multiplicative_identity(a):
 @given(lc_numbers(bound=2), lc_numbers(bound=2))
 def test_product_leading_exponents_add(a, b):
     p = mul(a, b)
-    if a.is_zero or b.is_zero:
-        assert p.is_zero
+    if not a or not b:
+        assert not p
     else:
         assert p.terms[0][0] == a.terms[0][0] + b.terms[0][0]
         assert p.terms[0][1] == a.terms[0][1] * b.terms[0][1]

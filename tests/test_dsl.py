@@ -69,8 +69,8 @@ F = Fraction
 def test_token_stream_of_a_compound_expression():
     tokens = tokenize("(y+2+2/H)^2")
     assert [t.kind for t in tokens] == [
-        "lparen", "identifier", "plus", "number", "plus",
-        "number", "slash", "identifier", "rparen", "caret", "number",
+        "(", "identifier", "+", "number", "+",
+        "number", "/", "identifier", ")", "^", "number",
     ]
     assert len(tokens) == 11
     assert tokens[0].position == 0
@@ -78,12 +78,20 @@ def test_token_stream_of_a_compound_expression():
 
 
 def test_token_kinds_cover_the_alphabet():
-    tokens = tokenize("a_1 * 7 - 3/4 + (x) ^ 2 , eps")
+    tokens = tokenize("a_1 * 7 - 3/4 + (x) ^ 2 · eps")
     kinds = {t.kind for t in tokens}
     assert kinds == {
-        "identifier", "star", "number", "minus", "slash",
-        "plus", "lparen", "rparen", "caret", "comma",
+        "identifier", "*", "number", "-", "/", "+", "(", ")", "^",
     }
+    # an operator's kind is its character, and "·" has the kind "*"
+    assert [(t.kind, t.text) for t in tokens if t.text in "*·"] == [
+        ("*", "*"), ("*", "·"),
+    ]
+    # no grammar rule reads a comma, so it is not a token
+    with pytest.raises(LexError) as info:
+        tokenize("1,2")
+    assert info.value.position == 1
+    assert str(info.value) == "invalid character ',' (at position 1)"
 
 
 def test_double_dot_is_a_lex_error_at_the_second_dot():
