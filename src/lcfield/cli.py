@@ -22,7 +22,6 @@ from .core import (
     Classification,
     LCError,
     LCNumber,
-    check_printable,
     classify,
     standard_part,
 )
@@ -75,18 +74,20 @@ class UsageError(argparse.ArgumentTypeError):
 MAX_PRECISION = 1000
 
 
-def _positive_precision(text: str) -> int:
-    value = int(text)
-    if not 2 <= value <= MAX_PRECISION:
-        raise argparse.ArgumentTypeError(f"precision must be from 2 to {MAX_PRECISION}")
-    return value
+def _integer_in(low: int, high: int, message: str):
+    """An argparse type for an integer from ``low`` to ``high``; any other
+    text, an integer or not, is refused with ``message``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if low <= value <= high:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(message)
 
-def _seed_value(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+    return parse
 
 
 def _rational(text: str) -> Fraction:
@@ -121,7 +122,7 @@ OPTIONS = {
     "-T": (
         ("-T", "--precision"),
         dict(
-            type=_positive_precision,
+            type=_integer_in(2, MAX_PRECISION, f"precision must be from 2 to {MAX_PRECISION}"),
             default=DEFAULT_PRECISION,
             help=f"relative truncation order (default 16, 2 to {MAX_PRECISION})",
         ),
@@ -132,7 +133,11 @@ OPTIONS = {
     ),
     "--seed": (
         ("--seed",),
-        dict(type=_seed_value, default=0, help="sampling seed for transfer checks (default 0)"),
+        dict(
+            type=_integer_in(0, 2**64 - 1, "seed must fit in 64 unsigned bits"),
+            default=0,
+            help="sampling seed for transfer checks (default 0)",
+        ),
     ),
     "-b": (
         ("-b", "--bind"),
@@ -225,7 +230,7 @@ def _environment(args) -> dict[str, LCNumber]:
 
 def _render_value_text(value: LCNumber, out: TextIO) -> None:
     kind = classify(value)
-    print(f"{check_printable(value).render()} ({kind.value})", file=out)
+    print(f"{value.render()} ({kind.value})", file=out)
     if kind is not Classification.INFINITE:
         print(f"shadow: {standard_part(value)}", file=out)
 
@@ -238,7 +243,7 @@ def cmd_eval(args, out: TextIO, err: TextIO) -> int:
     env = _environment(args)
     value = evaluate(parse_text(args.expr), env, args.precision)
     if args.format == "json":
-        print(json.dumps(check_printable(value).to_json()), file=out)
+        print(json.dumps(value.to_json()), file=out)
     else:
         _render_value_text(value, out)
     return 0
@@ -254,7 +259,6 @@ def cmd_diff(args, out: TextIO, err: TextIO) -> int:
     result = derivative_at(
         parse_text(args.expr), args.var, args.point, env, args.precision
     )
-    check_printable(result.quotient)  # its shadow and superfluous part too
     if args.format == "json":
         payload = {
             "quotient": result.quotient.to_json(),

@@ -26,10 +26,13 @@ over one exponent denominator and ``int`` coefficient numerators over
 one coefficient denominator, both denominators reduced, so equal values
 have equal fields.  The arithmetic works on those ``int``s alone;
 ``fractions.Fraction`` appears only at the edges, where values are
-built from rationals and where ``terms``, ``render``, ``to_json`` and
-the accessors hand rationals back.  Scaling by a common denominator is
-a bijection onto the integers, so no answer differs from plain rational
-arithmetic.
+built from rationals and where ``terms`` and the accessors hand
+rationals back.  Scaling by a common denominator is a bijection onto
+the integers, so no answer differs from plain rational arithmetic.
+
+Exact numbers become text only through ``number_text``, which refuses a
+number of more than ``MAX_DIGITS`` digits; ``signed_sum`` lays out the
+terms of a series or a polynomial.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ __all__ = [
     "agrees_to_guaranteed_order",
     "MAX_DIGITS",
     "check_power",
-    "check_printable",
+    "number_text",
+    "signed_sum",
 ]
 
 DEFAULT_PRECISION = 16
@@ -212,30 +216,20 @@ class LCNumber:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
+        d, q = self.d, self.q
+        terms = zip(self.k, self.n)
         return {
-            "terms": [{"exp": str(e), "coef": str(c)} for e, c in self.terms],
+            "terms": [{"exp": number_text(k, d), "coef": number_text(n, q)} for k, n in terms],
             "precision": self.precision,
         }
 
     def render(self) -> str:
         """Ascending-exponent text form, e.g. ``1 - 4·eps`` or ``eps^-1``."""
-        terms = self.terms
-        if not terms:
-            return "0"
-        parts = []
-        for i, (exp, coef) in enumerate(terms):
-            negative = coef < 0
-            mag = -coef if negative else coef
-            if exp == 0:
-                body = str(mag)
-            else:
-                unit = "eps" if exp == 1 else f"eps^{exp}"
-                body = unit if mag == 1 else f"{mag}·{unit}"
-            if i == 0:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
+        d, q = self.d, self.q
+        return signed_sum(
+            (n, q, "" if not k else "eps" if k == d else f"eps^{number_text(k, d)}")
+            for k, n in zip(self.k, self.n)
+        )
 
     def __str__(self) -> str:
         return self.render()
@@ -549,12 +543,12 @@ def sqrt(a: LCNumber) -> LCNumber:
     p, q = a.n[0] // g, a.q // g
     if p < 0:
         raise NegativeLeadingCoefficient(
-            f"square root of a series with negative leading coefficient {Fraction(p, q)}"
+            f"square root of a series with negative leading coefficient {number_text(p, q)}"
         )
     u, v = isqrt(p), isqrt(q)
     if u * u != p or v * v != q:
         raise NonSquareLeadingCoefficient(
-            f"leading coefficient {Fraction(p, q)} is not the square of a rational"
+            f"leading coefficient {number_text(p, q)} is not the square of a rational"
         )
     return _series_power(a, 1, 2, u, v)
 
@@ -620,9 +614,32 @@ def check_power(m: int, n: int) -> None:
         raise LCError(_TOO_LONG)
 
 
-def check_printable(value: LCNumber) -> LCNumber:
-    """``value``, unless a number in it has more than MAX_DIGITS digits."""
-    numbers = (n for term in value.terms for q in term for n in (q.numerator, q.denominator))
-    if any(abs(n) >= _DIGIT_BOUND for n in numbers):
+def number_text(n: int, d: int = 1) -> str:
+    """``n/d``, ``d > 0``, as ``str(Fraction(n, d))`` prints it, unless a
+    number of its reduced form has more than MAX_DIGITS digits."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    if abs(n) >= _DIGIT_BOUND or d >= _DIGIT_BOUND:
         raise LCError(_TOO_LONG)
-    return value
+    return f"{n}/{d}" if d > 1 else str(n)
+
+
+def signed_sum(terms: Iterable[tuple[int, int, str]]) -> str:
+    """The sum of ``(n/d)·unit`` over ``(n, d, unit)`` terms as text, e.g.
+    ``-x^2 + 3/2·x·y - 1``: the first sign glued to its term, then `` + ``
+    or `` - ``, a coefficient of 1 left out before a unit, ``·`` before a
+    unit, and an empty unit for a bare number.  The empty sum is ``0``."""
+    parts = []
+    for n, d, unit in terms:
+        mag = abs(n)
+        if not unit:
+            body = number_text(mag, d)
+        elif mag == d:
+            body = unit
+        else:
+            body = f"{number_text(mag, d)}·{unit}"
+        if parts:
+            parts.append(f"- {body}" if n < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if n < 0 else body)
+    return " ".join(parts) or "0"

@@ -46,7 +46,6 @@ from .core import (
     add,
     agrees_to_guaranteed_order,
     check_power,
-    check_printable,
     make_monomial,
     make_real,
     mul,
@@ -805,8 +804,8 @@ def _find_counterexample(e1, e2, names, precision, difference):
             return None
         return {
             "point": {n: str(v) for n, v in zip(names, values)},
-            "lhs": check_printable(sides[0]).render(),
-            "rhs": check_printable(sides[1]).render(),
+            "lhs": sides[0].render(),
+            "rhs": sides[1].render(),
         }
 
     return walk(difference, ())

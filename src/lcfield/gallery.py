@@ -39,7 +39,6 @@ from .core import (
 from .dsl import Expr, canonicalize, evaluate, parse_text
 from .poly import RationalForm
 from .report import (
-    Claim,
     GalleryReport,
     equality_claim,
     judged_claim,
@@ -58,17 +57,6 @@ __all__ = [
     "write_parabola_csv",
     "ellipse_parabola_report",
 ]
-
-
-def _truth_claim(description: str, holds: bool) -> Claim:
-    return judged_claim(description, holds, "true", holds)
-
-
-def _class_claim(
-    description: str, value: LCNumber, expected: Classification
-) -> Claim:
-    kind = classify(value)
-    return judged_claim(description, kind, expected.value, kind is expected)
 
 
 DEFAULT_GRID: tuple[Fraction, ...] = tuple(Fraction(k) for k in range(-3, 4))
@@ -101,7 +89,7 @@ def parallel_lines_report(
     slope = sub(height(one), height(make_real(0, precision)))
     claims = [
         equality_claim("slope is the negated infinitesimal unit", slope, neg(e)),
-        _class_claim("slope classification", slope, Classification.INFINITESIMAL),
+        equality_claim("slope classification", classify(slope), Classification.INFINITESIMAL),
     ]
     for x in xs:
         y = height(make_real(x, precision))
@@ -117,7 +105,7 @@ def parallel_lines_report(
         equality_claim("the line vanishes at x = H", height(h), make_real(0, precision))
     )
     claims.append(
-        _class_claim("x-intercept classification", h, Classification.INFINITE)
+        equality_claim("x-intercept classification", classify(h), Classification.INFINITE)
     )
     return GalleryReport(
         "parallel_lines", tuple(str(x) for x in xs), tuple(claims)
@@ -133,10 +121,10 @@ def infinitesimal_equality_report(
     base = make_real(2 * x, precision)
     bumped = add(base, eps(precision))
     claims = [
-        _truth_claim(
-            "2x + eps is infinitely close to 2x", is_infinitely_close(bumped, base)
+        equality_claim(
+            "2x + eps is infinitely close to 2x", is_infinitely_close(bumped, base), True
         ),
-        _truth_claim("2x + eps differs from 2x as a series", bumped != base),
+        equality_claim("2x + eps differs from 2x as a series", bumped != base, True),
     ]
     reduced = tlh_reduce(bumped)
     if x != 0:
@@ -155,9 +143,10 @@ def infinitesimal_equality_report(
     for n in (1, 10, 100, 1000, 10**4, 10**5, 10**6):
         scaled = mul(make_real(n, precision), difference)
         claims.append(
-            _truth_claim(
+            equality_claim(
                 f"{n} times the difference stays below 1",
                 scaled < make_real(1, precision),
+                True,
             )
         )
     return GalleryReport("infinitesimal_equality", (str(x),), tuple(claims))
@@ -213,13 +202,15 @@ def verify_conic_chain(precision: int = DEFAULT_PRECISION) -> GalleryReport:
         "h": make_real(2, precision),
     }
     claims = (
-        _truth_claim(
+        equality_claim(
             "squaring a two-term sum expands to squares plus twice the product",
             canonicalize(square_rule_lhs) == canonicalize(square_rule_rhs),
+            True,
         ),
-        _truth_claim(
+        equality_claim(
             "isolating the doubled radical is the same relation",
             canonicalize(squared_sum, variables) == canonicalize(isolated, variables),
+            True,
         ),
         judged_claim(
             "the squared chain divided by the rational form leaves a polynomial cofactor",

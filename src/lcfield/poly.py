@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Mapping
 
+from .core import number_text, signed_sum
+
 __all__ = ["Polynomial", "RationalForm", "poly_gcd"]
 
 Monomial = tuple[int, ...]
@@ -197,29 +199,11 @@ class Polynomial:
         return {k: Polynomial(self.variables, tuple(terms)) for k, terms in buckets.items()}
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, (mono, coef) in enumerate(self.terms):
-            factors = []
-            for name, exp in zip(self.variables, mono):
-                if exp == 1:
-                    factors.append(name)
-                elif exp > 1:
-                    factors.append(f"{name}^{exp}")
-            negative = coef < 0
-            mag = -coef if negative else coef
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "·".join(factors)
-            else:
-                body = "·".join([str(mag)] + factors)
-            if i == 0:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
+        def unit(mono: Monomial) -> str:
+            factors = zip(self.variables, mono)
+            return "·".join([n if e == 1 else f"{n}^{number_text(e)}" for n, e in factors if e])
+
+        return signed_sum((coef, 1, unit(mono)) for mono, coef in self.terms)
 
     def __str__(self) -> str:
         return self.render()

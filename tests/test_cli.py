@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import lcfield
+from lcfield import dsl, make_real
 
 from lcfield.cli import (
     MAX_PRECISION,
@@ -83,12 +84,14 @@ SAMPLE_SCHEMA = {
     "required": ["point", "agree"],
     "additionalProperties": False,
     "properties": {
-        "point": {
-            "type": "object",
-            "additionalProperties": {"type": "string"},
-        },
+        "point": {"type": ["object", "null"], "additionalProperties": {"type": "string"}},
         "agree": {"type": ["boolean", "null"]},
     },
+    # a point has a verdict; an inconclusive sample has neither
+    "oneOf": [
+        {"properties": {"point": {"type": "object"}, "agree": {"type": "boolean"}}},
+        {"properties": {"point": {"type": "null"}, "agree": {"type": "null"}}},
+    ],
 }
 
 TRANSFER_SCHEMA = {
@@ -175,6 +178,29 @@ def test_eval_precision_past_the_cap_is_a_usage_error(capsys):
             main(["eval", "-T", str(precision), "1/(1-eps)"])
         assert info.value.code == 2
         assert f"precision must be from 2 to {MAX_PRECISION}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("transfer", "--seed", "-1", "c.txt"), "seed must fit in 64 unsigned bits"),
+        (("transfer", "--seed", str(2**64), "c.txt"), "seed must fit in 64 unsigned bits"),
+        (("transfer", "--seed", "x", "c.txt"), "seed must fit in 64 unsigned bits"),
+        (("eval", "-T", "x", "1"), f"precision must be from 2 to {MAX_PRECISION}"),
+    ],
+    ids=["seed_negative", "seed_past_64_bits", "seed_not_an_integer", "precision_not_an_integer"],
+)
+def test_an_integer_option_outside_its_range_is_a_usage_error(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": {message}\n")
+
+
+def test_transfer_takes_the_largest_64_bit_seed(capsys, tmp_path):
+    path = corpus(tmp_path, "x == x\n")
+    code, out, err = invoke(capsys, "transfer", "--format", "json", "--seed", str(2**64 - 1), path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["report"]["seed"] == 2**64 - 1
 
 
 def test_eval_bindings_chain_left_to_right(capsys):
@@ -583,8 +609,15 @@ def test_transfer_reports_a_literal_past_the_digit_cap_as_its_line(capsys, tmp_p
         ("eval", "10^5000"),
         ("eval", "--format", "json", f"10^{MAX_DIGITS}"),
         ("diff", f"10^{MAX_DIGITS}*x", "x", "1"),
+        ("eval", "sqrt(-(10^3000*10^3000))"),
+        ("eval", "sqrt(2*10^3000*10^3000)"),
+        ("diff", "sqrt(-(10^3000*10^3000))", "x", "1"),
+        ("diff", "sqrt(2*10^3000*10^3000)", "x", "1"),
     ],
-    ids=["eval_text", "eval_json", "diff"],
+    ids=[
+        "eval_text", "eval_json", "diff",
+        "eval_sqrt_negative", "eval_sqrt_non_square", "diff_sqrt_negative", "diff_sqrt_non_square",
+    ],
 )
 def test_a_value_past_the_digit_cap_exits_three(capsys, argv):
     code, out, err = invoke(capsys, *argv)
@@ -709,6 +742,22 @@ def test_transfer_json_shape_and_seed(capsys, tmp_path):
     assert payload[1]["report"]["identity"] is False
 
 
+def test_transfer_json_marks_a_sample_inconclusive_when_every_draw_fails(
+    capsys, tmp_path, monkeypatch
+):
+    # every drawn point is the pole x = 0, so no draw can be evaluated
+    monkeypatch.setattr(dsl, "_RESAMPLE_CAP", 2)
+    for draw in ("_draw_finite", "_draw_mixed"):
+        monkeypatch.setattr(dsl, draw, lambda rng, precision: make_real(0, precision))
+    code, out, err = invoke(capsys, "transfer", "--format", "json", corpus(tmp_path, "1/x == 1/x\n"))
+    assert (code, err) == (0, "")
+    [entry] = json.loads(out)
+    jsonschema.validate(entry["report"], TRANSFER_SCHEMA)
+    inconclusive = {"point": None, "agree": None}
+    assert entry["report"]["finite_samples"] == [inconclusive] * 100
+    assert entry["report"]["infinite_samples"] == [inconclusive] * 100
+
+
 def test_load_corpus_parses_lines_and_comments(tmp_path):
     path = corpus(
         tmp_path, "# header\n\n a == b \nc==d # note\n#only comment\n"
@@ -751,6 +800,12 @@ def test_repl_recovers_from_errors(monkeypatch, capsys):
 def test_repl_survives_a_digit_that_is_not_decimal(monkeypatch, capsys):
     code, out, err = repl(monkeypatch, capsys, "²\n2*3\n")
     assert (code, err) == (0, "error: invalid character '²' (at position 0)\n")
+    assert out.splitlines()[0] == "6 (appreciable)"
+
+
+def test_repl_reports_a_value_past_the_digit_cap_and_goes_on(monkeypatch, capsys):
+    code, out, err = repl(monkeypatch, capsys, "sqrt(-(10^3000*10^3000))\n2*3\n")
+    assert (code, err) == (0, f"error: value has a number of more than {MAX_DIGITS} digits\n")
     assert out.splitlines()[0] == "6 (appreciable)"
 
 

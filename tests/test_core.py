@@ -42,7 +42,7 @@ from lcfield import (
     sub,
     tlh_reduce,
 )
-from lcfield.core import MAX_DIGITS, check_printable
+from lcfield.core import MAX_DIGITS
 
 from _gen import lc_numbers, nonzero_lc_numbers, rationals, nonzero_rationals
 
@@ -459,8 +459,8 @@ def test_every_kernel_result_is_reduced_on_its_lattice(a, b, n):
 def test_power_refuses_a_leading_coefficient_past_the_digit_cap_up_front():
     # 2**13287 < 10**4000 <= 2**13288: the guard is exact for powers of two.
     bits = (10**MAX_DIGITS).bit_length()
-    assert check_printable(power(make_real(2), bits - 1))
-    assert check_printable(power(make_real(F(1, 2)), bits - 1))
+    assert power(make_real(2), bits - 1).render()
+    assert power(make_real(F(1, 2)), bits - 1).render()
     for base, n in [(2, bits), (F(1, 2), bits), (F(-3, 5), 10**11), (2, 99999999999)]:
         with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
             power(add(make_real(base), eps()), n)
@@ -753,3 +753,42 @@ def test_render_examples():
     assert add(make_real(2), eps()).render() == "2 + eps"
     assert make_monomial(F(1, 2), F(1, 2)).render() == "1/2·eps^1/2"
     assert neg(eps()).render() == "-eps"
+
+
+def _reference_render(value):
+    """``value`` as text, built from ``terms`` and ``str(Fraction)``."""
+    parts = []
+    for exp, coef in value.terms:
+        mag = abs(coef)
+        if exp == 0:
+            body = str(mag)
+        else:
+            unit = "eps" if exp == 1 else f"eps^{exp}"
+            body = unit if mag == 1 else f"{mag}·{unit}"
+        if parts:
+            parts.append(f"- {body}" if coef < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if coef < 0 else body)
+    return " ".join(parts) or "0"
+
+
+@given(st.one_of(lc_numbers(), nonzero_lc_numbers().map(inverse)))
+def test_render_and_to_json_print_each_term_as_its_fractions(a):
+    assert a.render() == _reference_render(a)
+    assert a.to_json() == {
+        "terms": [{"exp": str(e), "coef": str(c)} for e, c in a.terms],
+        "precision": a.precision,
+    }
+
+
+def test_a_number_past_the_digit_cap_is_refused_wherever_it_is_printed():
+    big = 10**MAX_DIGITS
+    for value in (make_real(big), make_real(F(1, big)), make_monomial(1, big), make_monomial(1, F(1, big))):
+        for text in (value.render, value.to_json):
+            with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
+                text()
+    assert make_real(F(big - 1, 2)).render() == f"{big - 1}/2"
+    # sqrt's messages print the leading coefficient
+    for lead in (-big * big, 2 * big * big):
+        with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
+            sqrt(make_real(lead))

@@ -11,7 +11,8 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, strategies as st
 
-from lcfield import DivisionByZero
+from lcfield import DivisionByZero, LCError
+from lcfield.core import MAX_DIGITS
 from lcfield.dsl import (
     Add,
     Const,
@@ -469,3 +470,36 @@ def test_polynomial_render_spot_checks():
     assert p.render() == "-4·H^2"
     q = P(XY, {(1, 1): 1, (0, 0): -1})
     assert q.render() == "x·y - 1"
+
+
+def _reference_render(poly):
+    """``poly`` as text, each coefficient printed by ``str``."""
+    parts = []
+    for mono, coef in poly.terms:
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(poly.variables, mono) if e]
+        mag = abs(coef)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "·".join(factors)
+        else:
+            body = "·".join([str(mag)] + factors)
+        if parts:
+            parts.append(f"- {body}" if coef < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if coef < 0 else body)
+    return " ".join(parts) or "0"
+
+
+@given(polynomials(XYH, max_terms=6))
+def test_render_matches_the_reference_layout(poly):
+    assert poly.render() == _reference_render(poly)
+
+
+@pytest.mark.parametrize(
+    "source", ["10^3000*10^3000*x", f"(x^{'9' * MAX_DIGITS})^{'9' * MAX_DIGITS}"],
+    ids=["coefficient", "exponent"],
+)
+def test_render_refuses_a_number_past_the_digit_cap(source):
+    with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
+        canonicalize(parse_text(source)).render()
