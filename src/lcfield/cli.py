@@ -94,7 +94,7 @@ def _rational(text: str) -> Fraction:
     """``text`` as a point: a DSL number literal or ``p/q``, optionally negated."""
     try:
         node = parse_text(text)
-    except (LexError, ParseError) as exc:
+    except ParseError as exc:
         raise UsageError(str(exc)) from exc
     match node:
         case Const(value=value):
@@ -327,7 +327,7 @@ def _parse_corpus(
             rhs = parse_text(rhs_text)
             _ensure_rational(lhs)
             _ensure_rational(rhs)
-        except (LexError, ParseError, NonRationalNode) as exc:
+        except (ParseError, NonRationalNode) as exc:
             print(f"line {number}: {exc}", file=err)
             bad = True
             continue
@@ -419,7 +419,7 @@ def cmd_repl(args, out: TextIO, err: TextIO) -> int:
             if name is not None:
                 env[name] = value
             _render_value_text(value, out)
-        except (LexError, ParseError, LCError) as exc:
+        except (ParseError, LCError) as exc:
             print(f"error: {exc}", file=err)
     return 0
 
@@ -431,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, sys.stdout, sys.stderr)
-    except (LexError, ParseError, UsageError) as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LCError as exc:

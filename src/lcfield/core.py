@@ -19,7 +19,7 @@ order only.
 
 No operation changes a value once built, and every operation is a pure
 function, so values may be freely shared across threads.  Floats are
-rejected everywhere.
+rejected everywhere.  The functions here are the only arithmetic.
 
 A value is stored on its integer lattice: ``int`` exponent numerators
 over one exponent denominator and ``int`` coefficient numerators over
@@ -32,7 +32,7 @@ the integers, so no answer differs from plain rational arithmetic.
 
 Exact numbers become text only through ``number_text``, which refuses a
 number of more than ``MAX_DIGITS`` digits; ``signed_sum`` lays out the
-terms of a series or a polynomial.
+terms of a series or a polynomial; ``repr_text`` marks the cap in a repr.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ __all__ = [
     "MAX_DIGITS",
     "check_power",
     "number_text",
+    "repr_text",
     "signed_sum",
 ]
 
@@ -160,8 +161,9 @@ class LCNumber:
     read.  Build values through :func:`make_real`, :func:`make_monomial` or
     :meth:`from_terms`; direct construction skips normalization.
 
-    Equality compares the series only: precision is a statement about
-    which exponents are guaranteed, not part of the value.
+    Equality compares the series of two LCNumbers, never a value with an
+    ``int`` or ``Fraction``, so equal values hash equal; precision is a
+    statement about which exponents are guaranteed, not part of the value.
     """
 
     __slots__ = ("k", "d", "n", "q", "precision")
@@ -235,89 +237,20 @@ class LCNumber:
         return self.render()
 
     def __repr__(self) -> str:
-        return f"LCNumber({self.render()!r}, precision={self.precision})"
-
-    # -- comparisons ---------------------------------------------------
+        return f"LCNumber({repr_text(self)}, precision={self.precision})"
 
     def __eq__(self, other: object) -> bool:
-        coerced = _coerce(other, self.precision)
-        if coerced is None:
+        if not isinstance(other, LCNumber):
             return NotImplemented
         return (
-            self.k == coerced.k
-            and self.n == coerced.n
-            and self.d == coerced.d
-            and self.q == coerced.q
+            self.k == other.k
+            and self.n == other.n
+            and self.d == other.d
+            and self.q == other.q
         )
 
     def __hash__(self) -> int:
         return hash((self.k, self.d, self.n, self.q))
-
-    def __lt__(self, other):
-        return self._order(other, (-1,))
-
-    def __le__(self, other):
-        return self._order(other, (-1, 0))
-
-    def __gt__(self, other):
-        return self._order(other, (1,))
-
-    def __ge__(self, other):
-        return self._order(other, (0, 1))
-
-    def _order(self, other, accepted: tuple[int, ...]):
-        coerced = _coerce(other, self.precision)
-        if coerced is None:
-            return NotImplemented
-        return compare(self, coerced) in accepted
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        return self._apply(other, add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._apply(other, sub)
-
-    def __rsub__(self, other):
-        return self._apply(other, sub, reflected=True)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return self._apply(other, mul)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._apply(other, _div)
-
-    def __rtruediv__(self, other):
-        return self._apply(other, _div, reflected=True)
-
-    def _apply(self, other, op, reflected: bool = False):
-        coerced = _coerce(other, self.precision)
-        if coerced is None:
-            return NotImplemented
-        return op(coerced, self) if reflected else op(self, coerced)
-
-    def __pow__(self, exponent: int):
-        return power(self, exponent)
-
-
-def _div(a: LCNumber, b: LCNumber) -> LCNumber:
-    return mul(a, inverse(b))
-
-
-def _coerce(value: object, precision: int) -> LCNumber | None:
-    if isinstance(value, LCNumber):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return make_real(value, precision)
-    return None
 
 
 def _zero(precision: int) -> LCNumber:
@@ -622,6 +555,15 @@ def number_text(n: int, d: int = 1) -> str:
     if abs(n) >= _DIGIT_BOUND or d >= _DIGIT_BOUND:
         raise LCError(_TOO_LONG)
     return f"{n}/{d}" if d > 1 else str(n)
+
+
+def repr_text(value) -> str:
+    """``value.render()`` quoted for a repr, or a marker naming the digit
+    cap when a number of ``value`` is too long to print: a repr never raises."""
+    try:
+        return repr(value.render())
+    except LCError:
+        return f"<{_TOO_LONG}>"
 
 
 def signed_sum(terms: Iterable[tuple[int, int, str]]) -> str:

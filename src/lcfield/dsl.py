@@ -104,16 +104,14 @@ MAX_DEPTH = 100
 # also rejects an expression's distinct variable names past this count.
 MAX_VARIABLES = 100
 
-class LexError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class LexError(ParseError):
+    """Source text that does not split into tokens."""
 
 
 class NonRationalNode(ValueError):

@@ -27,6 +27,7 @@ from .core import (
     add,
     big_h,
     classify,
+    compare,
     eps,
     is_infinitely_close,
     make_real,
@@ -145,7 +146,7 @@ def infinitesimal_equality_report(
         claims.append(
             equality_claim(
                 f"{n} times the difference stays below 1",
-                scaled < make_real(1, precision),
+                compare(scaled, make_real(1, precision)) < 0,
                 True,
             )
         )

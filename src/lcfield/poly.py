@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Mapping
 
-from .core import number_text, signed_sum
+from .core import number_text, repr_text, signed_sum
 
 __all__ = ["Polynomial", "RationalForm", "poly_gcd"]
 
@@ -209,7 +209,7 @@ class Polynomial:
         return self.render()
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.render()!r})"
+        return f"Polynomial({repr_text(self)})"
 
 
 def _normalize_gcd(p: Polynomial) -> Polynomial:
@@ -322,4 +322,4 @@ class RationalForm:
         return self.render()
 
     def __repr__(self) -> str:
-        return f"RationalForm({self.render()!r})"
+        return f"RationalForm({repr_text(self)})"

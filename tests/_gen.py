@@ -12,7 +12,7 @@ import random
 
 from hypothesis import strategies as st
 
-from lcfield import LCNumber, make_real
+from lcfield import LCNumber, add, make_real
 from lcfield.dsl import Add, Const, Eps, Expr, HUnit, Mul, Neg, Pow, Sqrt, Var
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -142,8 +142,8 @@ def random_finite_value(rng: random.Random, precision: int = 16) -> LCNumber:
     value = make_real(random_rational(rng), precision)
     for exp in (1, 2):
         if rng.random() < 0.5:
-            value = value + LCNumber.from_terms(
-                [(exp, random_rational(rng))], precision
+            value = add(
+                value, LCNumber.from_terms([(exp, random_rational(rng))], precision)
             )
     return value
 

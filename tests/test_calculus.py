@@ -14,6 +14,7 @@ from lcfield import (
     Classification,
     DivisionByZero,
     UnboundVariable,
+    add,
     classify,
     eps,
     make_real,
@@ -81,7 +82,7 @@ def test_quotient_direction_independence():
 
 
 def test_quotient_with_scaled_increment():
-    two_eps = eps() + eps()
+    two_eps = add(eps(), eps())
     q = quotient_of("x^2", 5, increment=two_eps)
     assert q.terms == ((F(0), F(10)), (F(1), F(2)))
 
@@ -97,7 +98,7 @@ def test_derivative_of_square():
     r = derivative_at(parse_text("x^2"), "x", 3)
     assert r.shadow == 6
     assert r.discarded == eps()
-    assert r.quotient == make_real(6) + eps()
+    assert r.quotient == add(make_real(6), eps())
 
 
 def test_derivative_of_cube_discards_two_orders():
@@ -147,7 +148,7 @@ def test_derivative_propagates_evaluation_errors():
 def test_diff_result_rejects_mismatched_parts():
     with pytest.raises(InconsistentDiffResult):
         DiffResult(
-            quotient=make_real(1), shadow=F(2), discarded=make_real(0) * 0
+            quotient=make_real(1), shadow=F(2), discarded=make_real(0)
         )
     with pytest.raises(InconsistentDiffResult):
         DiffResult(quotient=make_real(2), shadow=F(1), discarded=make_real(1))

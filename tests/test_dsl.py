@@ -25,6 +25,7 @@ from lcfield import (
     add,
     big_h,
     eps,
+    inverse,
     make_monomial,
     make_real,
     mul,
@@ -116,6 +117,9 @@ def test_unknown_character_reports_its_offset():
     with pytest.raises(LexError) as info:
         tokenize("x + @")
     assert info.value.position == 4
+    # a lexing failure is a parse failure, so one except clause takes both
+    with pytest.raises(ParseError):
+        parse_text("x + @")
 
 
 def test_an_identifier_continues_only_with_letters_decimal_digits_and_underscores():
@@ -534,7 +538,7 @@ def test_evaluation_is_a_homomorphism_on_polynomial_trees(tree, q):
             for _ in range(abs(node.exponent)):
                 result = mul(result, base)
             if node.exponent < 0:
-                return make_real(1) / result
+                return inverse(result)
             return result
         raise AssertionError(node)
 

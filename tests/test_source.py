@@ -1,6 +1,7 @@
 """Rules the library's source must keep."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import lcfield
@@ -56,3 +57,15 @@ def test_library_has_no_unused_imports():
                 if name not in used
             ]
     assert unused == []
+
+
+def test_every_exported_name_is_bound():
+    # A name listed in a module's __all__, the package's included, is one
+    # the module defines or imports, so deleting a definition cannot leave
+    # a dangling export behind.
+    dangling = []
+    for path in sorted(Path(lcfield.__file__).parent.glob("*.py")):
+        name = "lcfield" if path.stem == "__init__" else f"lcfield.{path.stem}"
+        module = importlib.import_module(name)
+        dangling += [f"{path.name}: {n}" for n in module.__all__ if not hasattr(module, n)]
+    assert dangling == []
