@@ -78,6 +78,7 @@ __all__ = [
     "RESERVED_WORDS",
     "MAX_DEPTH",
     "MAX_VARIABLES",
+    "MAX_TERMS",
     "tokenize",
     "parse",
     "parse_text",
@@ -103,6 +104,11 @@ MAX_DEPTH = 100
 # Every canonical monomial carries one exponent per variable, so the parser
 # also rejects an expression's distinct variable names past this count.
 MAX_VARIABLES = 100
+
+# The canonicalizer refuses a power that may expand past this many terms:
+# a base of t terms raised to k has at most C(t+k-1, k), the number of
+# monomials of degree k in t unknowns.
+MAX_TERMS = 10_000
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -673,11 +679,25 @@ def _canon(node: Expr, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomi
         # In graded-lex order lc(P^k) = lc(P)^k: refuse before raising.
         check_power(num.leading_coefficient, k)
         check_power(den.leading_coefficient, k)
+        _check_terms(num, k, node.pos)
+        _check_terms(den, k, node.pos)
         return (den**k, num**k) if node.exponent < 0 else (num**k, den**k)
     if isinstance(node, Neg):
         num, den = _canon(node.arg, variables)
         return -num, den
     raise NonRationalNode("not a rational node", node.pos)
+
+
+def _check_terms(base: Polynomial, k: int, pos: int) -> None:
+    """Raise unless ``base ** k`` is sure to hold at most MAX_TERMS terms.
+    C(t+k-1, k) = C(n, m) with m = min(k, t-1) is built up as C(n-m+j, j),
+    j = 1..m, which grows with j: at most t-1 steps, whatever k is."""
+    t = len(base.terms)
+    bound = 1
+    for j in range(1, min(k, t - 1) + 1):
+        bound = bound * (max(k, t - 1) + j) // j
+        if bound > MAX_TERMS:
+            raise LCError(f"power may expand to more than {MAX_TERMS} terms", pos)
 
 
 # -- transfer checking -------------------------------------------------------

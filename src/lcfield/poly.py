@@ -2,14 +2,22 @@
 
 Integer coefficients, a fixed variable tuple per value, and a graded
 lexicographic term order (total degree first, then left-to-right
-exponent comparison).  The gcd is a primitive pseudo-remainder sequence,
-recursing on the variable set; its coefficients can grow fast on inputs
-with many variables, which a modular gcd would avoid (ROADMAP item 3).
+exponent comparison).  The gcd first tries a coprimality certificate:
+univariate images over GF(2^61 - 1), one per variable in which both
+polynomials have positive degree, whose gcds are all 1 only when the
+polynomials are coprime.  Most pairs reduced here are coprime, and they
+get 1 at once.  Every other pair falls back to a primitive
+pseudo-remainder sequence, recursing on the variable set, which alone
+computes a gcd of positive degree; its coefficients can grow fast on
+inputs with many variables, which a modular gcd would avoid (ROADMAP
+item 3).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 from dataclasses import dataclass
 from numbers import Rational
 from typing import Mapping
@@ -19,6 +27,12 @@ from .core import number_text, repr_text, signed_sum
 __all__ = ["Polynomial", "RationalForm", "poly_gcd"]
 
 Monomial = tuple[int, ...]
+
+# The coprimality certificate works mod this prime, 2^61 - 1, at points
+# drawn from a generator seeded with _POINT_SEED, so every run draws the
+# same points.
+_PRIME = (1 << 61) - 1
+_POINT_SEED = 61
 
 
 def _grlex_key(mono: Monomial) -> tuple:
@@ -247,18 +261,90 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, index: int) -> Polynomial:
     return r
 
 
+@functools.lru_cache(maxsize=None)
+def _point(size: int) -> tuple[int, ...]:
+    """The certificate's evaluation point for ``size`` variables: the same
+    in every call and every run."""
+    rng = random.Random(_POINT_SEED)
+    return tuple(rng.randrange(1, _PRIME) for _ in range(size))
+
+
+def _degrees(p: Polynomial) -> list[int]:
+    """The degree of a nonzero ``p`` in each variable."""
+    return [max(column) for column in zip(*(mono for mono, _ in p.terms))]
+
+
+def _image(p: Polynomial, index: int, degree: int, point: tuple[int, ...]) -> list[int]:
+    """``p``, of ``degree`` in variable ``index``, mod _PRIME with every
+    other variable set to its coordinate of ``point``: coefficients mod
+    _PRIME, lowest degree first; the last is 0 when the image loses degree."""
+    image = [0] * (degree + 1)
+    for mono, coef in p.terms:
+        for j, e in enumerate(mono):
+            if e and j != index:
+                coef = coef * pow(point[j], e, _PRIME) % _PRIME
+        image[mono[index]] += coef
+    return [c % _PRIME for c in image]
+
+
+def _coprime_mod_prime(a: list[int], b: list[int]) -> bool:
+    """Whether the gcd over GF(_PRIME) of two univariate images, each with
+    a nonzero last coefficient, is a constant, by Euclid; both lists are
+    used up."""
+    while len(b) > 1:
+        inverse = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            factor = a[-1] * inverse % _PRIME
+            shift = len(a) - len(b)
+            for k, c in enumerate(b):
+                a[shift + k] = (a[shift + k] - factor * c) % _PRIME
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(b) == 1
+
+
+def _certified_coprime(f: Polynomial, g: Polynomial) -> bool:
+    """True only if nonzero ``f`` and ``g`` share no factor of positive
+    degree.  False claims nothing: the images below could not rule one out.
+
+    For each variable x_i in which both have positive degree, every other
+    variable is set to the same seeded point mod _PRIME.  The verdict is
+    True when, for every such x_i, both images keep their degree in x_i
+    and their gcd over GF(_PRIME) is 1; if any image loses degree, it is
+    False.  Sound (Brown, JACM 18(4), 1971): a common factor G of
+    positive degree has positive degree in some x_i, and both f and g
+    then do too.  The leading coefficient in x_i of G divides that of f,
+    so while f's image keeps its degree, G's image keeps deg_i G > 0, and
+    it divides both images, whose gcd is then not 1.  With no such x_i
+    at all, no G can exist.
+    """
+    degrees_f, degrees_g = _degrees(f), _degrees(g)
+    point = _point(len(f.variables))
+    for index, (df, dg) in enumerate(zip(degrees_f, degrees_g)):
+        if df and dg:
+            a, b = _image(f, index, df, point), _image(g, index, dg, point)
+            if not (a[-1] and b[-1] and _coprime_mod_prime(a, b)):
+                return False
+    return True
+
+
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Integer-primitive gcd with positive leading coefficient; gcd(0,0) = 0."""
+    """Integer-primitive gcd with positive leading coefficient; gcd(0,0) = 0.
+
+    A pair that ``_certified_coprime`` proves coprime gets 1 at once; any
+    other pair runs the primitive pseudo-remainder sequence below."""
     if f.is_zero:
         return _normalize_gcd(g)
     if g.is_zero:
         return _normalize_gcd(f)
+    f._require_same_variables(g)
+    if _certified_coprime(f, g):
+        return Polynomial.const(f.variables, 1)
     for index in range(len(f.variables)):
         f_view, g_view = f.coefficients_in(index), g.coefficients_in(index)
-        if max(f_view) or max(g_view):
+        if max(f_view) or max(g_view):  # always found: two constants are certified
             break
-    else:
-        return Polynomial.const(f.variables, 1)
     cont_f = _content_in(f_view)
     cont_g = _content_in(g_view)
     shared = poly_gcd(cont_f, cont_g)
@@ -298,8 +384,9 @@ class RationalForm:
                 Polynomial.const(numerator.variables, 1),
             )
         common = poly_gcd(numerator, denominator)
-        numerator = numerator.exact_div(common)
-        denominator = denominator.exact_div(common)
+        if not common.is_constant:
+            numerator = numerator.exact_div(common)
+            denominator = denominator.exact_div(common)
         joint = math.gcd(numerator.content(), denominator.content())
         if denominator.leading_coefficient < 0:
             joint = -joint

@@ -29,7 +29,7 @@ from lcfield.cli import (
     run,
 )
 from lcfield.core import MAX_DIGITS
-from lcfield.dsl import MAX_VARIABLES
+from lcfield.dsl import MAX_TERMS, MAX_VARIABLES
 
 RATIONAL = r"^-?\d+(/\d+)?$"
 
@@ -659,6 +659,16 @@ def test_transfer_refuses_a_power_past_the_digit_cap_before_it_is_computed(
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert err == f"error: value has a number of more than {MAX_DIGITS} digits\n"
+
+
+def test_transfer_refuses_a_power_past_the_term_budget_before_it_is_expanded(capsys, tmp_path):
+    # the exact verdict would expand C(49, 9), about 2·10^9, terms
+    start = time.perf_counter()
+    path = corpus(tmp_path, "x == x\n(a+b+c+d+e+f+g+h+i+j)^40 == 1\n")
+    code, out, err = invoke(capsys, "transfer", path)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"error: power may expand to more than {MAX_TERMS} terms\n"
 
 
 def test_transfer_counterexample_past_the_digit_cap_exits_three(capsys, tmp_path):

@@ -4,6 +4,7 @@ import gc
 import os
 import subprocess
 import sys
+import time
 import types
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +35,7 @@ from lcfield import (
 )
 from lcfield.dsl import (
     MAX_DEPTH,
+    MAX_TERMS,
     MAX_VARIABLES,
     Add,
     Const,
@@ -57,7 +59,7 @@ from lcfield.dsl import (
     tokenize,
     uses_units,
 )
-from lcfield.poly import RationalForm
+from lcfield.poly import Polynomial, RationalForm
 
 from _gen import expressions, rationals
 
@@ -605,6 +607,30 @@ def test_canonicalize_rejects_identically_zero_denominators():
     # a denominator that merely CAN vanish is fine
     rf = canonicalize(parse_text("1/x"))
     assert isinstance(rf, RationalForm)
+
+
+def test_the_term_budget_is_the_monomial_count_bound():
+    # t terms to the k: at most C(t+k-1, k) terms, refused past MAX_TERMS
+    for t in (1, 2, 3, 10, 50):
+        base = Polynomial.from_dict(("x",), {(i,): 1 for i in range(t)})
+        for k in range(40):
+            if comb(t + k - 1, k) <= MAX_TERMS:
+                dsl._check_terms(base, k, 0)
+            else:
+                with pytest.raises(lcfield.LCError, match=f"more than {MAX_TERMS} terms"):
+                    dsl._check_terms(base, k, 0)
+
+
+@pytest.mark.parametrize(
+    "source", ["(a+b+c+d+e+f+g+h+i+j)^40", "(x + 1)^99999999999", "1/(x*y + 1)^-99999999999"]
+)
+def test_canonicalize_refuses_a_power_past_the_term_budget_before_expanding(source):
+    tree = parse_text(source)
+    start = time.perf_counter()
+    with pytest.raises(lcfield.LCError, match=f"more than {MAX_TERMS} terms") as info:
+        canonicalize(tree)
+    assert time.perf_counter() - start < 1
+    assert info.value.position == source.index("^")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ plays no part in the runtime code.
 
 import math
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 import sympy
@@ -26,7 +27,7 @@ from lcfield.dsl import (
     canonicalize,
     parse_text,
 )
-from lcfield.poly import Polynomial, RationalForm, poly_gcd
+from lcfield.poly import _PRIME, Polynomial, RationalForm, _certified_coprime, poly_gcd
 
 from _gen import expressions
 
@@ -326,6 +327,83 @@ def test_gcd_agrees_with_sympy_on_three_variables_with_a_planted_factor(a, b, g)
     ours = to_sympy(poly_gcd(a * g, b * g), symbols)
     theirs = sympy.gcd(to_sympy(a * g, symbols), to_sympy(b * g, symbols))
     assert not sympy.cancel(ours / theirs).free_symbols
+
+
+# -- the coprimality certificate ---------------------------------------------------
+
+variable_tuples = st.sampled_from([("x",), XY, XYH])
+
+
+@st.composite
+def planted_pairs(draw):
+    """``(g·a, g·b)`` over 1-3 variables with ``g`` of positive degree."""
+    variables = draw(variable_tuples)
+    a = draw(polynomials(variables, max_degree=2, max_terms=3, nonzero=True))
+    b = draw(polynomials(variables, max_degree=2, max_terms=3, nonzero=True))
+    g = draw(polynomials(variables, max_degree=2, max_terms=3, nonzero=True))
+    assume(not g.is_constant)
+    return g * a, g * b
+
+
+@given(planted_pairs())
+def test_a_planted_common_factor_is_never_certified_coprime(pair):
+    assert not _certified_coprime(*pair)
+
+
+@st.composite
+def nonzero_pairs(draw):
+    variables = draw(variable_tuples)
+    return (
+        draw(polynomials(variables, max_degree=3, max_terms=4, nonzero=True)),
+        draw(polynomials(variables, max_degree=3, max_terms=4, nonzero=True)),
+    )
+
+
+@given(nonzero_pairs())
+def test_a_certified_pair_is_coprime_to_sympy(pair):
+    # poly_gcd's gcd is integer-primitive, so sympy sees the primitive parts
+    a, b = pair
+    if _certified_coprime(a, b):
+        symbols = sympy.symbols(a.variables)
+        ours = to_sympy(a.primitive(), symbols), to_sympy(b.primitive(), symbols)
+        assert sympy.gcd(*ours) in (1, -1)
+        assert poly_gcd(a, b) == Polynomial.const(a.variables, 1)
+
+
+def test_an_image_that_drops_degree_falls_back_to_the_prs():
+    # lc_x(f) is a multiple of _PRIME·y, so it vanishes mod _PRIME at every
+    # point: the certificate gives up, and the PRS answers alone.  As a
+    # common factor, f's image is a constant and hides it.
+    x, y = Polynomial.var(XY, "x"), Polynomial.var(XY, "y")
+    one = Polynomial.const(XY, 1)
+    f = Polynomial.const(XY, _PRIME) * y * x + one
+    for a, b, expected in ((f, x - one, one), (f * (x + y), f * (x - one), f)):
+        assert not _certified_coprime(a, b)
+        assert poly_gcd(a, b) == expected
+        symbols = sympy.symbols(XY)
+        theirs = sympy.gcd(to_sympy(a, symbols), to_sympy(b, symbols))
+        assert not sympy.cancel(to_sympy(expected, symbols) / theirs).free_symbols
+
+
+# This input kept the PRS alone busy for minutes (34 CPU-minutes in one run)
+# on coefficient growth; the certificate proves its gcd is 1.
+SLOW_PRS_INPUT = (
+    "(((y)^2)^2/((H + x - eps))^3 + (2/x * (z * y / 2) / (1/3 + y - H))/(2/2)^0"
+    " - ((y + (x + 0 - z) - eps))^-2)"
+)
+
+
+def test_the_input_that_stalled_the_prs_is_reduced_at_once():
+    tree = parse_text(SLOW_PRS_INPUT)
+    start = perf_counter()
+    rf = canonicalize(tree)
+    assert perf_counter() - start < 2
+    symbols = {name: sympy.Symbol(name) for name in rf.numerator.variables}
+    ordered = tuple(symbols.values())
+    num, den = to_sympy(rf.numerator, ordered), to_sympy(rf.denominator, ordered)
+    theirs_num, theirs_den = sympy.fraction(sympy.cancel(tree_to_sympy(tree, symbols)))
+    assert sympy.expand(num * theirs_den - den * theirs_num) == 0
+    assert sympy.gcd(num, den) == 1
 
 
 # -- reduced fractions ---------------------------------------------------------------------
