@@ -34,7 +34,8 @@ from .dsl import (
     ParseError,
     RESERVED_WORDS,
     TransferReport,
-    _ensure_rational,
+    _refuse,
+    _scan,
     evaluate,
     identities_transfer_check,
     parse_text,
@@ -325,8 +326,8 @@ def _parse_corpus(
         try:
             lhs = parse_text(lhs_text)
             rhs = parse_text(rhs_text)
-            _ensure_rational(lhs)
-            _ensure_rational(rhs)
+            _refuse(_scan(lhs)[2])
+            _refuse(_scan(rhs)[2])
         except (ParseError, NonRationalNode) as exc:
             print(f"line {number}: {exc}", file=err)
             bad = True

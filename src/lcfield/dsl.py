@@ -105,9 +105,10 @@ MAX_DEPTH = 100
 # also rejects an expression's distinct variable names past this count.
 MAX_VARIABLES = 100
 
-# The canonicalizer refuses a power that may expand past this many terms:
-# a base of t terms raised to k has at most C(t+k-1, k), the number of
-# monomials of degree k in t unknowns.
+# The canonicalizer refuses a power or a product that may expand past this
+# many terms: a base of t terms raised to k has at most C(t+k-1, k), the
+# number of monomials of degree k in t unknowns; ``_times`` bounds a
+# product.
 MAX_TERMS = 10_000
 
 class ParseError(ValueError):
@@ -482,29 +483,37 @@ def _print(node: Expr, context: int) -> str:
 # -- structure helpers -----------------------------------------------------
 
 
-def _children(node: Expr) -> tuple[Expr, ...]:
-    if isinstance(node, _Chain):
-        return node.args
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, (Sqrt, St, Neg)):
-        return (node.arg,)
-    return ()
-
-
-def _walk(node: Expr) -> Iterable[Expr]:
-    yield node
-    for child in _children(node):
-        yield from _walk(child)
+def _scan(expr: Expr) -> tuple[set[str], bool, Expr | None]:
+    """The tree's variable names, whether eps or H occurs, and its first
+    sqrt/st node in preorder (``None`` if it has none), from one walk."""
+    names: set[str] = set()
+    units = False
+    nonrational = None
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, (Eps, HUnit)):
+            units = True
+        elif isinstance(node, _Chain):
+            stack.extend(reversed(node.args))
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+        elif isinstance(node, (Sqrt, St, Neg)):
+            if nonrational is None and not isinstance(node, Neg):
+                nonrational = node
+            stack.append(node.arg)
+    return names, units, nonrational
 
 
 def free_variables(expr: Expr) -> set[str]:
-    return {n.name for n in _walk(expr) if isinstance(n, Var)}
+    return _scan(expr)[0]
 
 
 def uses_units(expr: Expr) -> bool:
     """True when the expression mentions eps or H."""
-    return any(isinstance(n, (Eps, HUnit)) for n in _walk(expr))
+    return _scan(expr)[1]
 
 
 # -- evaluation ------------------------------------------------------------
@@ -595,13 +604,11 @@ def order_variables(names: Iterable[str], include_h: bool = False) -> tuple[str,
     return tuple(rest)
 
 
-def _ensure_rational(expr: Expr) -> None:
-    for node in _walk(expr):
-        if isinstance(node, (Sqrt, St)):
-            kind = "sqrt" if isinstance(node, Sqrt) else "st"
-            raise NonRationalNode(
-                f"{kind} is not a rational operation", node.pos
-            )
+def _refuse(nonrational: Expr | None) -> None:
+    """Raise for a tree's first sqrt/st node, as ``_scan`` found it."""
+    if nonrational is not None:
+        kind = "sqrt" if isinstance(nonrational, Sqrt) else "st"
+        raise NonRationalNode(f"{kind} is not a rational operation", nonrational.pos)
 
 
 def canonicalize(
@@ -616,9 +623,8 @@ def canonicalize(
     evaluate equally at any binding, assignable or not, that avoids the
     poles.
     """
-    _ensure_rational(expr)
-    names = free_variables(expr)
-    needs_h = uses_units(expr)
+    names, needs_h, nonrational = _scan(expr)
+    _refuse(nonrational)
     if variables is None:
         ordered = order_variables(names, include_h=needs_h)
     else:
@@ -654,7 +660,11 @@ def _canon(node: Expr, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomi
         for op, arg in zip(node.ops, args):
             n, d = _canon(arg, variables)
             n = n if op == "+" else -n
-            num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
+            if d == den:
+                num = num + n
+            else:
+                num = _times(num, d, node.pos) + _times(n, den, node.pos)
+                den = _times(den, d, node.pos)
         return num, den
     if isinstance(node, Mul):
         # Left to right, as evaluate goes: the first zero divisor is blamed.
@@ -664,14 +674,14 @@ def _canon(node: Expr, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomi
             n, d = _canon(arg, variables)
             if op == "/":
                 at = next(slashes, node.pos)
-                if n.is_zero:
+                if not n:
                     raise DivisionByZero("denominator is identically zero", at)
                 n, d = d, n
-            num, den = num * n, den * d
+            num, den = _times(num, n, node.pos), _times(den, d, node.pos)
         return num, den
     if isinstance(node, Pow):
         num, den = _canon(node.base, variables)
-        if node.exponent < 0 and num.is_zero:
+        if node.exponent < 0 and not num:
             raise DivisionByZero(
                 "negative power of an identically zero base", node.pos
             )
@@ -679,25 +689,40 @@ def _canon(node: Expr, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomi
         # In graded-lex order lc(P^k) = lc(P)^k: refuse before raising.
         check_power(num.leading_coefficient, k)
         check_power(den.leading_coefficient, k)
-        _check_terms(num, k, node.pos)
-        _check_terms(den, k, node.pos)
+        for base in (num, den):
+            _check_terms(len(base.terms) + k - 1, k, "power", node.pos)
         return (den**k, num**k) if node.exponent < 0 else (num**k, den**k)
     if isinstance(node, Neg):
         num, den = _canon(node.arg, variables)
         return -num, den
-    raise NonRationalNode("not a rational node", node.pos)
+    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
-def _check_terms(base: Polynomial, k: int, pos: int) -> None:
-    """Raise unless ``base ** k`` is sure to hold at most MAX_TERMS terms.
-    C(t+k-1, k) = C(n, m) with m = min(k, t-1) is built up as C(n-m+j, j),
-    j = 1..m, which grows with j: at most t-1 steps, whatever k is."""
-    t = len(base.terms)
+def _times(a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
+    """``a * b``, refused at ``pos`` unless it is sure to hold at most
+    MAX_TERMS terms.  It has at most |a|·|b| terms, and at most C(v+D, v),
+    the monomials of degree at most D = deg a + deg b in the v variables
+    that a or b uses.  Neither bound alone will do: (a+…+j)^4·(a+…+j)^2
+    has 39325 pairs but at most 8008 terms, and x^200·y^200 has one pair
+    but C(402, 2) monomials of degree at most 400."""
+    if len(a.terms) * len(b.terms) > MAX_TERMS:
+        used = {i for p in (a, b) for mono, _ in p.terms for i, e in enumerate(mono) if e}
+        degree = sum(a.terms[0][0]) + sum(b.terms[0][0])
+        _check_terms(len(used) + degree, degree, "product", pos)
+    return a * b
+
+
+def _check_terms(n: int, m: int, what: str, pos: int) -> None:
+    """Raise unless C(n, m) <= MAX_TERMS.  C(n, m) = C(n, m') with
+    m' = min(m, n-m) is built up as C(n-m'+j, j), j = 1..m', which grows
+    with j: at most m' steps, t-1 for a power of a t-term base and v for
+    a product, however large the degree."""
+    m = min(m, n - m)
     bound = 1
-    for j in range(1, min(k, t - 1) + 1):
-        bound = bound * (max(k, t - 1) + j) // j
+    for j in range(1, m + 1):
+        bound = bound * (n - m + j) // j
         if bound > MAX_TERMS:
-            raise LCError(f"power may expand to more than {MAX_TERMS} terms", pos)
+            raise LCError(f"{what} may expand to more than {MAX_TERMS} terms", pos)
 
 
 # -- transfer checking -------------------------------------------------------
@@ -855,15 +880,17 @@ def identities_transfer_check(
     identically: no pole-free point lies there where the sides differ, so
     the grid order, hence the witness, is unchanged.
     """
-    names = free_variables(e1) | free_variables(e2)
-    include_h = uses_units(e1) or uses_units(e2)
-    ordered = order_variables(names, include_h=include_h)
-    _ensure_rational(e1)
+    names1, units1, nonrational1 = _scan(e1)
+    names2, units2, nonrational2 = _scan(e2)
+    names = names1 | names2
+    ordered = order_variables(names, include_h=units1 or units2)
+    # e1's fraction is built before e2 is refused, so e1's errors come first
+    _refuse(nonrational1)
     n1, d1 = _canon(e1, ordered)
-    _ensure_rational(e2)
+    _refuse(nonrational2)
     n2, d2 = _canon(e2, ordered)
     difference = n1 * d2 - n2 * d1
-    identity = difference.is_zero
+    identity = not difference
     sample_names = sorted(names)
     rng = random.Random(seed)
     finite = tuple(

@@ -78,10 +78,6 @@ class Polynomial:
     # -- basics ----------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_constant(self) -> bool:
         return not self.terms or sum(self.terms[0][0]) == 0
 
@@ -146,7 +142,7 @@ class Polynomial:
         lemma), and every divisor here is a gcd or a content.
         """
         self._require_same_variables(divisor)
-        if divisor.is_zero:
+        if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
         quot: dict[Monomial, int] = {}
         work = dict(self.terms)
@@ -173,8 +169,6 @@ class Polynomial:
         return math.gcd(*(c for _, c in self.terms))
 
     def primitive(self) -> "Polynomial":
-        if self.is_zero:
-            return self
         return self._divided_by(self.content())
 
     def _divided_by(self, divisor: int) -> "Polynomial":
@@ -227,8 +221,6 @@ class Polynomial:
 
 
 def _normalize_gcd(p: Polynomial) -> Polynomial:
-    if p.is_zero:
-        return p
     p = p.primitive()
     if p.leading_coefficient < 0:
         p = -p
@@ -334,9 +326,9 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
     A pair that ``_certified_coprime`` proves coprime gets 1 at once; any
     other pair runs the primitive pseudo-remainder sequence below."""
-    if f.is_zero:
+    if not f:
         return _normalize_gcd(g)
-    if g.is_zero:
+    if not g:
         return _normalize_gcd(f)
     f._require_same_variables(g)
     if _certified_coprime(f, g):
@@ -376,9 +368,9 @@ class RationalForm:
     @classmethod
     def make(cls, numerator: Polynomial, denominator: Polynomial) -> "RationalForm":
         numerator._require_same_variables(denominator)
-        if denominator.is_zero:
+        if not denominator:
             raise ZeroDivisionError("rational form with zero denominator")
-        if numerator.is_zero:
+        if not numerator:
             return cls(
                 Polynomial.zero(numerator.variables),
                 Polynomial.const(numerator.variables, 1),
@@ -398,7 +390,7 @@ class RationalForm:
 
     @property
     def is_zero(self) -> bool:
-        return self.numerator.is_zero
+        return not self.numerator
 
     def render(self) -> str:
         if self.denominator == Polynomial.const(self.denominator.variables, 1):

@@ -671,6 +671,25 @@ def test_transfer_refuses_a_power_past_the_term_budget_before_it_is_expanded(cap
     assert err == f"error: power may expand to more than {MAX_TERMS} terms\n"
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "(a+b+c+d+e+f+g+h+i+j)^6*(a+b+c+d+e+f+g+h+i+j)^6 == 1",
+        "1/(a+b+c+d+e+f+g+h+i+j)^6 + 1/(a+b+c+d+e+f+g+h+i+k)^6 == 1",
+    ],
+    ids=["chain_product", "reciprocal_sum"],
+)
+def test_transfer_refuses_a_product_past_the_term_budget_before_it_is_expanded(
+    capsys, tmp_path, line
+):
+    # each power passes (5005 terms); the product would multiply 5005 x 5005 term pairs
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "transfer", corpus(tmp_path, f"x == x\n{line}\n"))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"error: product may expand to more than {MAX_TERMS} terms\n"
+
+
 def test_transfer_counterexample_past_the_digit_cap_exits_three(capsys, tmp_path):
     path = corpus(tmp_path, f"x == x\n10^{MAX_DIGITS} == 1\n")
     code, out, err = invoke(capsys, "transfer", path)

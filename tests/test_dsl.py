@@ -59,7 +59,7 @@ from lcfield.dsl import (
     tokenize,
     uses_units,
 )
-from lcfield.poly import Polynomial, RationalForm
+from lcfield.poly import RationalForm
 
 from _gen import expressions, rationals
 
@@ -397,6 +397,35 @@ def test_free_variables_and_units():
     assert free_variables(parse_text("1 + eps")) == set()
 
 
+def _preorder(node):
+    """Each node, then its children's walks in order: the recursive
+    reference that ``dsl._scan`` must agree with."""
+    yield node
+    if isinstance(node, (Add, Mul)):
+        children = node.args
+    elif isinstance(node, Pow):
+        children = (node.base,)
+    elif isinstance(node, (Sqrt, St, Neg)):
+        children = (node.arg,)
+    else:
+        children = ()
+    for child in children:
+        yield from _preorder(child)
+
+
+@given(expressions(allow_sqrt=True, allow_st=True))
+def test_one_scan_finds_what_a_recursive_preorder_walk_finds(tree):
+    nodes = list(_preorder(tree))
+    names = {n.name for n in nodes if isinstance(n, Var)}
+    units = any(isinstance(n, (Eps, HUnit)) for n in nodes)
+    first = next((n for n in nodes if isinstance(n, (Sqrt, St))), None)
+    assert free_variables(tree) == names
+    assert uses_units(tree) == units
+    scanned_names, scanned_units, nonrational = dsl._scan(tree)
+    assert (scanned_names, scanned_units) == (names, units)
+    assert nonrational is first
+
+
 # -- printer ------------------------------------------------------------------------
 
 
@@ -599,6 +628,41 @@ def test_canonicalize_rejects_non_rational_nodes():
         canonicalize(parse_text("st(x)"))
 
 
+@pytest.mark.parametrize(
+    "source, variables, kind, position",
+    [
+        # refused before the undeclared w is found
+        ("sqrt(x) + w", ("x",), "sqrt", 0),
+        # refused before the zero divisor is met
+        ("1/(x-x) + sqrt(x)", None, "sqrt", 10),
+        # the first sqrt/st in preorder: an outer node before its argument
+        ("x + sqrt(st(y)) + st(z)", None, "sqrt", 4),
+    ],
+    ids=["before_undeclared", "before_zero_divisor", "first_in_preorder"],
+)
+def test_canonicalize_refuses_the_first_non_rational_node_first(
+    source, variables, kind, position
+):
+    with pytest.raises(NonRationalNode) as info:
+        canonicalize(parse_text(source), variables)
+    assert str(info.value) == f"{kind} is not a rational operation"
+    assert info.value.position == position
+
+
+def test_canonicalize_scans_its_tree_once(monkeypatch):
+    calls = Counter()
+    scan = dsl._scan
+
+    def counted(expr):
+        calls[expr] += 1
+        return scan(expr)
+
+    monkeypatch.setattr(dsl, "_scan", counted)
+    tree = parse_text("(x + eps)/(y - H) + x^2*z")
+    canonicalize(tree)
+    assert calls == {tree: 1}
+
+
 def test_canonicalize_rejects_identically_zero_denominators():
     with pytest.raises(DivisionByZero):
         canonicalize(parse_text("1/(x - x)"))
@@ -612,13 +676,12 @@ def test_canonicalize_rejects_identically_zero_denominators():
 def test_the_term_budget_is_the_monomial_count_bound():
     # t terms to the k: at most C(t+k-1, k) terms, refused past MAX_TERMS
     for t in (1, 2, 3, 10, 50):
-        base = Polynomial.from_dict(("x",), {(i,): 1 for i in range(t)})
         for k in range(40):
             if comb(t + k - 1, k) <= MAX_TERMS:
-                dsl._check_terms(base, k, 0)
+                dsl._check_terms(t + k - 1, k, "power", 0)
             else:
                 with pytest.raises(lcfield.LCError, match=f"more than {MAX_TERMS} terms"):
-                    dsl._check_terms(base, k, 0)
+                    dsl._check_terms(t + k - 1, k, "power", 0)
 
 
 @pytest.mark.parametrize(
@@ -631,6 +694,45 @@ def test_canonicalize_refuses_a_power_past_the_term_budget_before_expanding(sour
         canonicalize(tree)
     assert time.perf_counter() - start < 1
     assert info.value.position == source.index("^")
+
+
+TEN = "(a+b+c+d+e+f+g+h+i+j)"
+CHAIN_PRODUCT = f"{TEN}^6*{TEN}^6"
+RECIPROCAL_SUM = f"1/{TEN}^6 + 1/(a+b+c+d+e+f+g+h+i+k)^6"
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [(CHAIN_PRODUCT, CHAIN_PRODUCT.index("*")), (RECIPROCAL_SUM, RECIPROCAL_SUM.index(" + 1/") + 1)],
+    ids=["chain_product", "reciprocal_sum"],
+)
+def test_canonicalize_refuses_a_product_past_the_term_budget_before_expanding(source, position):
+    # each factor passes the power budget (5005 terms); their product
+    # would multiply 5005 x 5005 term pairs
+    tree = parse_text(source)
+    start = time.perf_counter()
+    with pytest.raises(lcfield.LCError) as info:
+        canonicalize(tree)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == f"product may expand to more than {MAX_TERMS} terms"
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize(
+    "source, same",
+    [
+        # 200 factors: each step has few term pairs
+        ("*".join(["(x+1)"] * 200), "(x+1)^200"),
+        # 715 x 55 term pairs, but at most C(16, 6) = 8008 terms
+        (f"{TEN}^4*{TEN}^2", f"{TEN}^6"),
+        # C(602, 2) monomials of degree at most 600, but 4 term pairs
+        ("(x^300 + y^300)*(x^300 - y^300)", "x^600 - y^600"),
+    ],
+    ids=["long_chain", "many_pairs_few_terms", "high_degree_few_pairs"],
+)
+def test_a_product_under_either_term_bound_is_expanded(source, same):
+    form = canonicalize(parse_text(source))
+    assert form == canonicalize(parse_text(same), form.numerator.variables)
 
 
 @pytest.mark.parametrize(

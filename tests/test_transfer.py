@@ -2,6 +2,7 @@
 both sides of the assignable divide."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,6 +147,38 @@ def test_non_rational_expressions_are_rejected():
         check("sqrt(x)", "x")
     with pytest.raises(NonRationalNode):
         check("x", "st(x)")
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, error, message, position",
+    [
+        # the left side's fraction is built before the right side is refused
+        ("1/(x-x)", "sqrt(x)", DivisionByZero, "denominator is identically zero", 1),
+        ("sqrt(x)", "1/(x-x)", NonRationalNode, "sqrt is not a rational operation", 0),
+        ("x + st(x)", "sqrt(y)", NonRationalNode, "st is not a rational operation", 4),
+    ],
+    ids=["left_zero_divisor_first", "left_sqrt_first", "left_st_first"],
+)
+def test_the_left_side_is_refused_before_the_right(lhs, rhs, error, message, position):
+    with pytest.raises(error) as info:
+        check(lhs, rhs)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert info.value.position == position
+
+
+def test_each_side_is_scanned_once(monkeypatch):
+    calls = Counter()
+    scan = dsl._scan
+
+    def counted(expr):
+        calls[expr] += 1
+        return scan(expr)
+
+    monkeypatch.setattr(dsl, "_scan", counted)
+    e1, e2 = parse_text("(x + eps)^2"), parse_text("x^2 + 2*x*eps + eps*eps")
+    identities_transfer_check(e1, e2, trials=2)
+    assert calls == {e1: 1, e2: 1}
 
 
 def test_identically_zero_denominator_is_rejected_up_front():
