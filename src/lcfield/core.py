@@ -29,6 +29,9 @@ have equal fields.  The arithmetic works on those ``int``s alone;
 built from rationals and where ``terms`` and the accessors hand
 rationals back.  Scaling by a common denominator is a bijection onto
 the integers, so no answer differs from plain rational arithmetic.
+Single-term operands take a direct path in ``mul``, ``add``, ``sub``,
+``inverse`` and ``power`` that builds the one term with the same
+normalization.
 
 Exact numbers become text only through ``number_text``, which refuses a
 number of more than ``MAX_DIGITS`` digits; ``signed_sum`` lays out the
@@ -257,6 +260,12 @@ def _zero(precision: int) -> LCNumber:
     return LCNumber((), 1, (), 1, precision)
 
 
+def _term(k: int, d: int, n: int, q: int, precision: int) -> LCNumber:
+    """The term ``(n/q)·eps^(k/d)``, ``n != 0``, with both denominators reduced."""
+    g, h = gcd(d, k), gcd(q, n)
+    return LCNumber((k // g,), d // g, (n // h,), q // h, precision)
+
+
 def _normalize(
     merged: Mapping[int, int],
     d: int,
@@ -355,8 +364,12 @@ def _merge(a: LCNumber, b: LCNumber, sign: int) -> LCNumber:
     ``d`` and ``q`` and their numerators are merged as ``int``s."""
     d, q = lcm(a.d, b.d), lcm(a.q, b.q)
     sa, ta = d // a.d, q // a.q
-    merged = {k * sa: n * ta for k, n in zip(a.k, a.n)}
     sb, tb = d // b.d, sign * (q // b.q)
+    if len(a.k) == 1 == len(b.k) and a.k[0] * sa == b.k[0] * sb:
+        # At one shared exponent the nearer window is min(precision) above it.
+        n, precision = a.n[0] * ta + b.n[0] * tb, min(a.precision, b.precision)
+        return _term(a.k[0] * sa, d, n, q, precision) if n else _zero(precision)
+    merged = {k * sa: n * ta for k, n in zip(a.k, a.n)}
     for k, n in zip(b.k, b.n):
         k *= sb
         merged[k] = merged.get(k, 0) + n * tb
@@ -377,6 +390,9 @@ def mul(a: LCNumber, b: LCNumber) -> LCNumber:
         return _zero(precision)
     d = lcm(a.d, b.d)
     sa, sb = d // a.d, d // b.d
+    if len(a.k) == 1 == len(b.k):
+        k = a.k[0] * sa + b.k[0] * sb
+        return _term(k, d, a.n[0] * b.n[0], a.q * b.q, precision)
     left = zip([k * sa for k in a.k], a.n)
     right = list(zip([k * sb for k in b.k], b.n))
     # The leading pair never cancels, so the product's window is known up front.
@@ -434,11 +450,15 @@ def inverse(a: LCNumber) -> LCNumber:
     if not a.k:
         raise DivisionByZero("cannot invert zero")
     n0 = a.n[0]
-    return _series_power(a, -1, 1, a.q if n0 > 0 else -a.q, abs(n0))
+    u, v = (a.q if n0 > 0 else -a.q), abs(n0)
+    if len(a.k) == 1:
+        return _term(-a.k[0], a.d, u, v, a.precision)
+    return _series_power(a, -1, 1, u, v)
 
 
 def power(a: LCNumber, n: int) -> LCNumber:
-    """Integer power by repeated squaring; ``a ** 0`` is 1 even for ``a == 0``.
+    """Integer power by repeated squaring, a single term directly; ``a ** 0``
+    is 1 even for ``a == 0``.
 
     A power whose leading coefficient ``c0 ** n`` is sure to hold a number
     of more than MAX_DIGITS digits raises before any multiplication (see
@@ -452,6 +472,8 @@ def power(a: LCNumber, n: int) -> LCNumber:
         a, n = inverse(a), -n
     if a.n:
         check_power(max(abs(a.n[0]), a.q) // gcd(a.n[0], a.q), n)
+    if len(a.k) == 1:
+        return _term(a.k[0] * n, a.d, a.n[0] ** n, a.q**n, a.precision)
     result, base = None, a
     while True:
         if n & 1:
@@ -524,9 +546,7 @@ def tlh_reduce(a: LCNumber) -> LCNumber:
     terms infinitely smaller than the leading one.  Idempotent."""
     if not a.k:
         return a
-    k0, n0 = a.k[0], a.n[0]
-    g, h = gcd(k0, a.d), gcd(n0, a.q)
-    return LCNumber((k0 // g,), a.d // g, (n0 // h,), a.q // h, a.precision)
+    return _term(a.k[0], a.d, a.n[0], a.q, a.precision)
 
 
 def agrees_to_guaranteed_order(a: LCNumber, b: LCNumber) -> bool:

@@ -874,7 +874,9 @@ def identities_transfer_check(
     witness search.
 
     The verdict is whether ``N1·D2 - N2·D1`` vanishes, for the trees'
-    unreduced fractions ``N/D``; no gcd is taken.  A non-identity's
+    unreduced fractions ``N/D``; no gcd is taken.  Both products are held
+    to ``_times``'s term budget, and a refusal points at ``e2``: the
+    products exist only once both sides are built.  A non-identity's
     witness is the first point of a fixed grid where the sides disagree.
     The search skips each subgrid on which that difference vanishes
     identically: no pole-free point lies there where the sides differ, so
@@ -889,7 +891,7 @@ def identities_transfer_check(
     n1, d1 = _canon(e1, ordered)
     _refuse(nonrational2)
     n2, d2 = _canon(e2, ordered)
-    difference = n1 * d2 - n2 * d1
+    difference = _times(n1, d2, e2.pos) - _times(n2, d1, e2.pos)
     identity = not difference
     sample_names = sorted(names)
     rng = random.Random(seed)

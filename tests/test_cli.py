@@ -676,13 +676,15 @@ def test_transfer_refuses_a_power_past_the_term_budget_before_it_is_expanded(cap
     [
         "(a+b+c+d+e+f+g+h+i+j)^6*(a+b+c+d+e+f+g+h+i+j)^6 == 1",
         "1/(a+b+c+d+e+f+g+h+i+j)^6 + 1/(a+b+c+d+e+f+g+h+i+k)^6 == 1",
+        "(a+b+c+d+e+f+g+h+i+j)^6 == 1/(a+b+c+d+e+f+g+h+i+k)^6",
     ],
-    ids=["chain_product", "reciprocal_sum"],
+    ids=["chain_product", "reciprocal_sum", "verdict_product"],
 )
 def test_transfer_refuses_a_product_past_the_term_budget_before_it_is_expanded(
     capsys, tmp_path, line
 ):
-    # each power passes (5005 terms); the product would multiply 5005 x 5005 term pairs
+    # each power passes (5005 terms); the product, in a side or in the
+    # verdict's N1·D2, would multiply 5005 x 5005 term pairs
     start = time.perf_counter()
     code, out, err = invoke(capsys, "transfer", corpus(tmp_path, f"x == x\n{line}\n"))
     assert time.perf_counter() - start < 1

@@ -6,6 +6,7 @@ part, square roots via the binomial series with the coefficient
 recurrence c_k = c_{k-1} * (3 - 2k) / (2k).
 """
 
+import time
 from fractions import Fraction
 from math import floor, gcd, isqrt
 
@@ -470,6 +471,70 @@ def test_power_refuses_a_leading_coefficient_past_the_digit_cap_up_front():
     # a lead of 1 or a zero base is never refused by the guard
     assert power(make_real(0), 99999999999) == make_real(0)
     assert power(eps(), 99999999999) == make_monomial(1, 99999999999)
+
+
+# -- single-term operands: the direct path against exact Fraction results -------
+
+single_exponents = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def single_terms(draw):
+    e, c = draw(single_exponents), draw(nonzero_rationals)
+    return e, c, LCNumber.from_terms([(e, c)], draw(st.integers(min_value=1, max_value=64)))
+
+
+def _fields(value):
+    return value.k, value.d, value.n, value.q, value.precision
+
+
+def _assert_exact(value, pairs, precision):
+    assert _fields(value) == _fields(LCNumber.from_terms(pairs, precision))
+
+
+@given(single_terms(), single_terms(), st.sampled_from([1, -1]))
+def test_single_term_add_and_sub_equal_the_exact_sum(a, b, sign):
+    (ea, ca, x), (eb, cb, y) = a, b
+    total = (add if sign == 1 else sub)(x, y)
+    if ea == eb and ca + sign * cb == 0:
+        precision = min(x.precision, y.precision)
+    else:
+        # the window of the nearer operand, measured from the lead
+        bound = min(ea + x.precision, eb + y.precision)
+        precision = max(1, floor(bound - min(ea, eb)))
+    _assert_exact(total, [(ea, ca), (eb, sign * cb)], precision)
+
+
+@given(single_terms(), single_terms())
+def test_single_term_mul_equals_the_exact_product(a, b):
+    (ea, ca, x), (eb, cb, y) = a, b
+    _assert_exact(mul(x, y), [(ea + eb, ca * cb)], min(x.precision, y.precision))
+
+
+@given(single_terms(), st.integers(min_value=-6, max_value=6))
+def test_single_term_inverse_and_power_equal_the_exact_result(a, n):
+    e, c, x = a
+    _assert_exact(inverse(x), [(-e, 1 / c)], x.precision)
+    _assert_exact(power(x, n), [(n * e, c**n)], x.precision)
+
+
+def test_single_term_pinned_cases():
+    cancel = add(make_monomial(F(3, 2), F(-1, 3), 7), make_monomial(F(-3, 2), F(-1, 3), 5))
+    assert _fields(cancel) == ((), 1, (), 1, 5)
+    root = make_monomial(1, F(1, 2))
+    assert _fields(mul(root, root)) == ((1,), 1, (1,), 1, 16)
+    assert _fields(power(eps(), -3)) == ((-3,), 1, (1,), 1, 16)
+
+
+def test_single_term_power_guards_run_first():
+    # a lead past the digit cap is refused before any power is formed;
+    # 2 ** 99999999999 would not finish
+    for n in (10**6, 99999999999):
+        with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
+            power(make_real(2), n)
+    start = time.perf_counter()
+    assert power(make_real(-1), 10**4000 + 1) == make_real(-1)
+    assert time.perf_counter() - start < 1
 
 
 # -- field laws (exact inside the generator's window) ---------------------------

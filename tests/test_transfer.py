@@ -2,6 +2,7 @@
 both sides of the assignable divide."""
 
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcfield import (
     DivisionByZero,
+    LCError,
     agrees_to_guaranteed_order,
     dsl,
     evaluate,
@@ -165,6 +167,18 @@ def test_the_left_side_is_refused_before_the_right(lhs, rhs, error, message, pos
     assert type(info.value) is error
     assert str(info.value) == message
     assert info.value.position == position
+
+
+def test_the_verdicts_own_products_are_held_to_the_term_budget():
+    # each side passes alone (5005 terms); N1·D2 would multiply 5005 x 5005
+    # term pairs, and exists only once both sides are built
+    e1, e2 = parse_text("(a+b+c+d+e+f+g+h+i+j)^6"), parse_text("1/(a+b+c+d+e+f+g+h+i+k)^6")
+    start = time.perf_counter()
+    with pytest.raises(LCError) as info:
+        identities_transfer_check(e1, e2, trials=0)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == f"product may expand to more than {dsl.MAX_TERMS} terms"
+    assert info.value.position == e2.pos
 
 
 def test_each_side_is_scanned_once(monkeypatch):
