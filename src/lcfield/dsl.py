@@ -21,6 +21,7 @@ exactly (``3.5`` is ``7/2``).  A literal ``p/q`` with positive integer
 ``q``, which keeps ``3/2^2`` equal to ``3/(2^2)``.  ``eps``, ``H``,
 ``sqrt`` and ``st`` are reserved words.
 
+One evaluator walks a tree, over series or over polynomial fractions.
 Besides evaluation, rational expressions (no ``sqrt``/``st``) can be
 canonicalized to reduced polynomial fractions, treating ``H`` as an
 ordinary indeterminate ordered after all alphabetical variables and
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import core
 from .core import (
     DEFAULT_PRECISION,
     MAX_DIGITS,
@@ -48,13 +50,6 @@ from .core import (
     check_power,
     make_monomial,
     make_real,
-    mul,
-    inverse,
-    neg,
-    power,
-    sqrt,
-    standard_part,
-    sub,
 )
 from .poly import Polynomial, RationalForm
 
@@ -94,8 +89,8 @@ __all__ = [
 
 RESERVED_WORDS = frozenset({"eps", "H", "sqrt", "st"})
 
-# The parser, evaluator, printer and canonicalizer recurse once per nesting
-# level and loop along a chain, so the parser rejects parentheses, sqrt(,
+# The parser, evaluator and printer recurse once per nesting level and
+# loop along a chain, so the parser rejects parentheses, sqrt(,
 # st( or unary minus signs nested more than this deep: that stays well
 # inside Python's default recursion limit of 1000 frames, a parenthesis
 # level costing the parser six and the tree walkers at most four.
@@ -526,7 +521,7 @@ def evaluate(
 ) -> LCNumber:
     """Structural evaluation.  Arithmetic errors escape with ``position``
     set to the offending node's source offset."""
-    return _eval(expr, env or {}, precision)
+    return _eval(expr, env or {}, precision, core)
 
 
 def _mark(err: LCError, pos: int) -> None:
@@ -541,10 +536,13 @@ def _mark(err: LCError, pos: int) -> None:
         err.position = pos
 
 
-def _eval(node: Expr, env: Mapping[str, LCNumber], precision: int) -> LCNumber:
+def _eval(node: Expr, env: Mapping, precision: int, alg):
+    """The tree's value over ``alg``, which has ``core``'s function names:
+    the ``core`` module, its functions read at each call, or a
+    ``_Fractions``.  ``env`` binds each variable to such a value."""
     try:
         if isinstance(node, Const):
-            return make_real(node.value, precision)
+            return alg.make_real(node.value, precision)
         if isinstance(node, Var):
             try:
                 return env[node.name]
@@ -553,40 +551,43 @@ def _eval(node: Expr, env: Mapping[str, LCNumber], precision: int) -> LCNumber:
                     f"unbound variable {node.name!r}", node.pos
                 ) from None
         if isinstance(node, Eps):
-            return make_monomial(1, 1, precision)
+            return alg.make_monomial(1, 1, precision)
         if isinstance(node, HUnit):
-            return make_monomial(1, -1, precision)
+            return alg.make_monomial(1, -1, precision)
         if isinstance(node, Add):
             args = iter(node.args)
-            value = _eval(next(args), env, precision)
+            value = _eval(next(args), env, precision, alg)
             for op, arg in zip(node.ops, args):
-                term = _eval(arg, env, precision)
-                value = add(value, term) if op == "+" else sub(value, term)
+                term = _eval(arg, env, precision, alg)
+                value = alg.add(value, term) if op == "+" else alg.sub(value, term)
             return value
         if isinstance(node, Mul):
+            # Left to right: the first zero divisor is blamed.
             args, slashes = iter(node.args), iter(node.positions)
-            value = _eval(next(args), env, precision)
+            value = _eval(next(args), env, precision, alg)
             for op, arg in zip(node.ops, args):
-                factor = _eval(arg, env, precision)
+                factor = _eval(arg, env, precision, alg)
                 if op == "/":
                     at = next(slashes, node.pos)
                     try:
-                        factor = inverse(factor)
+                        factor = alg.inverse(factor)
                     except LCError as err:
                         _mark(err, at)
                         raise
-                value = mul(value, factor)
+                value = alg.mul(value, factor)
             return value
         if isinstance(node, Pow):
-            return power(_eval(node.base, env, precision), node.exponent)
+            return alg.power(_eval(node.base, env, precision, alg), node.exponent)
         if isinstance(node, Neg):
-            return neg(_eval(node.arg, env, precision))
+            return alg.neg(_eval(node.arg, env, precision, alg))
         if isinstance(node, Sqrt):
-            return sqrt(_eval(node.arg, env, precision))
+            return alg.sqrt(_eval(node.arg, env, precision, alg))
         if isinstance(node, St):
-            return make_real(standard_part(_eval(node.arg, env, precision)), precision)
+            value = alg.standard_part(_eval(node.arg, env, precision, alg))
+            return alg.make_real(value, precision)
     except LCError as err:
-        # Only Var, Pow, Sqrt and St nodes and a chain's "/" raise; the
+        # Var, Pow, Sqrt and St nodes raise, and so does a chain: at its
+        # "/", or, over fractions, a product past the term budget.  The
         # deepest one marks the error first and _mark keeps that position.
         _mark(err, node.pos)
         raise
@@ -634,72 +635,68 @@ def canonicalize(
         missing = names - set(ordered)
         if missing:
             raise ValueError(f"undeclared variables: {sorted(missing)}")
-    return RationalForm.make(*_canon(expr, ordered))
+    fractions = _Fractions(ordered)
+    return RationalForm.make(*_eval(expr, fractions.env, 0, fractions))
 
 
-def _canon(node: Expr, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomial]:
-    """The tree's own fraction ``(N, D)``, never reduced.  A sum adds a
-    term whose denominator equals the running one straight into ``N``, so
-    repeated denominators do not swell; ``D`` is a product of ``H``s, of
-    literals' denominators and of divisors' numerators, each checked to be
-    nonzero.  A literal ``p/q`` enters as ``(p, q)``, so both have integer
-    coefficients."""
-    one = Polynomial.const(variables, 1)
-    if isinstance(node, Const):
-        p, q = node.value.numerator, node.value.denominator
-        return Polynomial.const(variables, p), Polynomial.const(variables, q)
-    if isinstance(node, Var):
-        return Polynomial.var(variables, node.name), one
-    if isinstance(node, Eps):
-        return one, Polynomial.var(variables, "H")
-    if isinstance(node, HUnit):
-        return Polynomial.var(variables, "H"), one
-    if isinstance(node, Add):
-        args = iter(node.args)
-        num, den = _canon(next(args), variables)
-        for op, arg in zip(node.ops, args):
-            n, d = _canon(arg, variables)
-            n = n if op == "+" else -n
-            if d == den:
-                num = num + n
-            else:
-                num = _times(num, d, node.pos) + _times(n, den, node.pos)
-                den = _times(den, d, node.pos)
-        return num, den
-    if isinstance(node, Mul):
-        # Left to right, as evaluate goes: the first zero divisor is blamed.
-        args, slashes = iter(node.args), iter(node.positions)
-        num, den = _canon(next(args), variables)
-        for op, arg in zip(node.ops, args):
-            n, d = _canon(arg, variables)
-            if op == "/":
-                at = next(slashes, node.pos)
-                if not n:
-                    raise DivisionByZero("denominator is identically zero", at)
-                n, d = d, n
-            num, den = _times(num, n, node.pos), _times(den, d, node.pos)
-        return num, den
-    if isinstance(node, Pow):
-        num, den = _canon(node.base, variables)
-        if node.exponent < 0 and not num:
-            raise DivisionByZero(
-                "negative power of an identically zero base", node.pos
-            )
-        k = abs(node.exponent)
+class _Fractions:
+    """The algebra of a tree's own fractions ``(N, D)``, never reduced,
+    for ``_eval``; precisions are ignored.  A sum adds a term whose
+    denominator equals the running one straight into ``N``, so repeated
+    denominators do not swell; ``D`` is a product of ``H``s, of literals'
+    denominators and of divisors' numerators, each checked to be nonzero.
+    A literal ``p/q`` enters as ``(p, q)``, so both have integer
+    coefficients.  ``env`` binds each variable to its fraction."""
+
+    def __init__(self, variables: tuple[str, ...]):
+        self.variables = variables
+        self.one = one = Polynomial.const(variables, 1)
+        self.env = {name: (Polynomial.var(variables, name), one) for name in variables}
+
+    def make_real(self, value: Fraction, precision: int):
+        p, q = value.numerator, value.denominator
+        return Polynomial.const(self.variables, p), Polynomial.const(self.variables, q)
+
+    def make_monomial(self, coefficient: int, exponent: int, precision: int):
+        # eps is 1/H and H is H/1: the only monomials _eval asks for
+        h = self.env["H"][0]
+        return (self.one, h) if exponent == 1 else (h, self.one)
+
+    def add(self, a, b):
+        (num, den), (n, d) = a, b
+        if d == den:
+            return num + n, den
+        return _times(num, d) + _times(n, den), _times(den, d)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
+        return -a[0], a[1]
+
+    def inverse(self, a):
+        if not a[0]:
+            raise DivisionByZero("denominator is identically zero")
+        return a[1], a[0]
+
+    def mul(self, a, b):
+        return _times(a[0], b[0]), _times(a[1], b[1])
+
+    def power(self, a, exponent: int):
+        num, den = a
+        if exponent < 0 and not num:
+            raise DivisionByZero("negative power of an identically zero base")
+        k = abs(exponent)
         # In graded-lex order lc(P^k) = lc(P)^k: refuse before raising.
         check_power(num.leading_coefficient, k)
         check_power(den.leading_coefficient, k)
         for base in (num, den):
-            _check_terms(len(base.terms) + k - 1, k, "power", node.pos)
-        return (den**k, num**k) if node.exponent < 0 else (num**k, den**k)
-    if isinstance(node, Neg):
-        num, den = _canon(node.arg, variables)
-        return -num, den
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+            _check_terms(len(base.terms) + k - 1, k, "power")
+        return (den**k, num**k) if exponent < 0 else (num**k, den**k)
 
 
-def _times(a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
-    """``a * b``, refused at ``pos`` unless it is sure to hold at most
+def _times(a: Polynomial, b: Polynomial, pos: int | None = None) -> Polynomial:
+    """``a * b``, refused (at ``pos``) unless it is sure to hold at most
     MAX_TERMS terms.  It has at most |a|·|b| terms, and at most C(v+D, v),
     the monomials of degree at most D = deg a + deg b in the v variables
     that a or b uses.  Neither bound alone will do: (a+…+j)^4·(a+…+j)^2
@@ -712,7 +709,7 @@ def _times(a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
     return a * b
 
 
-def _check_terms(n: int, m: int, what: str, pos: int) -> None:
+def _check_terms(n: int, m: int, what: str, pos: int | None = None) -> None:
     """Raise unless C(n, m) <= MAX_TERMS.  C(n, m) = C(n, m') with
     m' = min(m, n-m) is built up as C(n-m'+j, j), j = 1..m', which grows
     with j: at most m' steps, t-1 for a power of a t-term base and v for
@@ -887,10 +884,11 @@ def identities_transfer_check(
     names = names1 | names2
     ordered = order_variables(names, include_h=units1 or units2)
     # e1's fraction is built before e2 is refused, so e1's errors come first
+    fractions = _Fractions(ordered)
     _refuse(nonrational1)
-    n1, d1 = _canon(e1, ordered)
+    n1, d1 = _eval(e1, fractions.env, 0, fractions)
     _refuse(nonrational2)
-    n2, d2 = _canon(e2, ordered)
+    n2, d2 = _eval(e2, fractions.env, 0, fractions)
     difference = _times(n1, d2, e2.pos) - _times(n2, d1, e2.pos)
     identity = not difference
     sample_names = sorted(names)

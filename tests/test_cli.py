@@ -647,9 +647,17 @@ def test_a_power_past_the_digit_cap_is_refused_before_it_is_computed(capsys, exp
 
 
 # The canonical verdict raises a polynomial to the power before any sample
-# does; (2*eps/2)^20000 is refused on its unreduced coefficient 2.
+# does; (2*eps/2)^20000 is refused on its unreduced coefficient 2.  A power
+# checks both digit caps before either term budget, so the last line is
+# refused on its denominator 2^400, not on its numerator's C(49, 9) terms.
 @pytest.mark.parametrize(
-    "line", ["2^99999999999 == 1", "x == (2*x)^-99999999999", "(2*eps/2)^20000 == eps^20000"]
+    "line",
+    [
+        "2^99999999999 == 1",
+        "x == (2*x)^-99999999999",
+        "(2*eps/2)^20000 == eps^20000",
+        "((a+b+c+d+e+f+g+h+i+j)/2^400)^40 == 1",
+    ],
 )
 def test_transfer_refuses_a_power_past_the_digit_cap_before_it_is_computed(
     capsys, tmp_path, line

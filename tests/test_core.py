@@ -64,6 +64,9 @@ def test_zero_has_no_terms_and_no_leading_exponent():
     assert z.terms == ()
     assert not z
     assert classify(z) is Classification.ZERO
+    # a zero coefficient gives the zero series whatever the exponent
+    zero = make_monomial(0, 5, 4)
+    assert (zero.terms, zero.precision) == ((), 4)
 
 
 def test_construction_truncates_to_the_leading_window():

@@ -33,6 +33,7 @@ from lcfield import (
     standard_part,
     sub,
 )
+from lcfield.core import MAX_DIGITS
 from lcfield.dsl import (
     MAX_DEPTH,
     MAX_TERMS,
@@ -320,7 +321,8 @@ def test_a_chain_of_any_length_is_one_level_deep(source, same, operands):
 def test_a_repeated_denominator_is_not_multiplied_in_again():
     # cross-multiplying every term would give a denominator of degree 120
     tree = parse_text(" + ".join(["1/(x*y + z + 1)"] * 60))
-    _, den = dsl._canon(tree, ("x", "y", "z"))
+    fractions = dsl._Fractions(("x", "y", "z"))
+    _, den = dsl._eval(tree, fractions.env, 0, fractions)
     assert sum(den.terms[0][0]) == 2  # the total degree of the leading term
     assert canonicalize(tree).render() == "(60) / (x·y + z + 1)"
 
@@ -468,11 +470,11 @@ def test_the_evaluator_calls_the_kernel_through_module_globals(monkeypatch):
     # perfbench's tracer counts evaluator calls by swapping these attributes
     calls = Counter()
     for name in ("add", "sub", "mul", "inverse"):
-        def counted(*args, _name=name, _kernel=getattr(dsl, name)):
+        def counted(*args, _name=name, _kernel=getattr(lcfield.core, name)):
             calls[_name] += 1
             return _kernel(*args)
 
-        monkeypatch.setattr(dsl, name, counted)
+        monkeypatch.setattr(lcfield.core, name, counted)
     env = {name: make_real(k) for k, name in enumerate("abcde", start=1)}
     assert evaluate(parse_text("a - b + c*d/e"), env) == make_real(F(7, 5))
     assert calls == {"add": 1, "sub": 1, "mul": 2, "inverse": 1}
@@ -694,6 +696,26 @@ def test_canonicalize_refuses_a_power_past_the_term_budget_before_expanding(sour
         canonicalize(tree)
     assert time.perf_counter() - start < 1
     assert info.value.position == source.index("^")
+
+
+def test_the_digit_cap_refusal_has_one_position_for_series_and_fractions():
+    tree = parse_text("1 + (2*x)^99999")
+    with pytest.raises(lcfield.LCError, match=f"more than {MAX_DIGITS} digits") as info:
+        canonicalize(tree)
+    assert info.value.position == 9
+    with pytest.raises(lcfield.LCError, match=f"more than {MAX_DIGITS} digits") as info:
+        evaluate(tree, {"x": make_real(1)})
+    assert info.value.position == 9
+
+
+def test_a_power_checks_both_digit_caps_before_either_term_budget():
+    # the numerator's 40th power may expand to C(49, 9) terms, but the
+    # denominator's 2^400 to the 40th is past the digit cap, and that is
+    # checked first
+    tree = parse_text("((a+b+c+d+e+f+g+h+i+j)/2^400)^40")
+    with pytest.raises(lcfield.LCError) as info:
+        canonicalize(tree)
+    assert str(info.value) == f"value has a number of more than {MAX_DIGITS} digits"
 
 
 TEN = "(a+b+c+d+e+f+g+h+i+j)"

@@ -23,7 +23,8 @@ from lcfield.dsl import (
     Neg,
     Pow,
     Var,
-    _canon,
+    _eval,
+    _Fractions,
     canonicalize,
     parse_text,
 )
@@ -536,7 +537,8 @@ def test_canonical_forms_are_reduced_and_match_sympy(tree):
 @example(parse_text("3/4*x - 0.5*y + eps/2"))
 def test_every_coefficient_is_an_int(tree):
     try:
-        fraction = _canon(tree, XYH)
+        fractions = _Fractions(XYH)
+        fraction = _eval(tree, fractions.env, 0, fractions)
         form = canonicalize(tree, XYH)
     except DivisionByZero:
         assume(False)
@@ -550,6 +552,7 @@ def test_polynomial_render_spot_checks():
     assert p.render() == "-4·H^2"
     q = P(XY, {(1, 1): 1, (0, 0): -1})
     assert q.render() == "x·y - 1"
+    assert str(q) == q.render()
 
 
 def _reference_render(poly):
