@@ -3,8 +3,7 @@
 The differential quotient ``(f(x + eps) - f(x)) / eps`` is an ordinary
 series value.  Its standard part is the derivative; what the classical
 limit throws away survives here as the explicit ``discarded``
-infinitesimal, so the bookkeeping of the product rule can be checked as
-an exact identity instead of an approximation.
+infinitesimal, an exact value instead of an approximation.
 
 ``symbolic_derivative`` is an independent oracle: textbook term
 rewriting on the expression tree, sharing no code with the quotient
@@ -44,9 +43,7 @@ from .dsl import (
     St,
     Var,
     evaluate,
-    to_source,
 )
-from .report import GalleryReport, equality_claim, judged_claim
 
 __all__ = [
     "NotFinite",
@@ -55,7 +52,6 @@ __all__ = [
     "DiffResult",
     "differential_quotient",
     "derivative_at",
-    "product_rule_report",
     "symbolic_derivative",
 ]
 
@@ -141,67 +137,6 @@ def derivative_at(
     shadow = standard_part(quotient)
     discarded = sub(quotient, make_real(shadow, precision))
     return DiffResult(quotient=quotient, shadow=shadow, discarded=discarded)
-
-
-def product_rule_report(
-    u: Expr,
-    v: Expr,
-    var: str,
-    point: Fraction | int,
-    env: dict[str, LCNumber] | None = None,
-    precision: int = DEFAULT_PRECISION,
-) -> GalleryReport:
-    """The product rule as exact series bookkeeping at one point.
-
-    With ``dg = g(point + eps) - g(point)``: first the raw identity
-    ``d(uv) = u*dv + v*du + du*dv``, then the shadow identity that the
-    derivative of the product is ``st(u)*st(dv/eps) + st(v)*st(du/eps)``,
-    and finally that the dropped cross term ``du*dv/eps`` is
-    infinitesimal (or zero), which is exactly why dropping it is
-    harmless.
-    """
-    p = make_real(point, precision)
-    e = eps(precision)
-    bindings = dict(env or {})
-
-    def at(g: Expr, x: LCNumber) -> LCNumber:
-        bindings[var] = x
-        return evaluate(g, bindings, precision)
-
-    u_here, v_here = at(u, p), at(v, p)
-    du = sub(at(u, add(p, e)), u_here)
-    dv = sub(at(v, add(p, e)), v_here)
-    product = Mul((u, v), "*")
-    d_product = sub(at(product, add(p, e)), at(product, p))
-
-    rhs = add(add(mul(u_here, dv), mul(v_here, du)), mul(du, dv))
-    quotient = mul(d_product, inverse(e))
-    shadow_expected = standard_part(u_here) * standard_part(
-        mul(dv, inverse(e))
-    ) + standard_part(v_here) * standard_part(mul(du, inverse(e)))
-    cross = mul(mul(du, dv), inverse(e))
-
-    claims = (
-        equality_claim("d(uv) equals u*dv + v*du + du*dv", d_product, rhs),
-        equality_claim(
-            "shadow of d(uv)/eps equals st(u)*st(dv/eps) + st(v)*st(du/eps)",
-            standard_part(quotient),
-            shadow_expected,
-        ),
-        judged_claim(
-            "dropped cross term du*dv/eps is negligible",
-            cross,
-            "zero or infinitesimal",
-            classify(cross)
-            in (Classification.ZERO, Classification.INFINITESIMAL),
-        ),
-    )
-    parameters = (
-        f"u = {to_source(u)}",
-        f"v = {to_source(v)}",
-        f"{var} = {point}",
-    )
-    return GalleryReport("product_rule", parameters, claims)
 
 
 def symbolic_derivative(f: Expr, var: str) -> Expr:

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .calculus import derivative_at, product_rule_report
+from .calculus import derivative_at
 from .core import (
     DEFAULT_PRECISION,
     Classification,
@@ -45,6 +45,7 @@ from .gallery import (
     ellipse_parabola_report,
     infinitesimal_equality_report,
     parallel_lines_report,
+    product_rule_report,
     write_parabola_csv,
 )
 
@@ -70,8 +71,8 @@ class UsageError(argparse.ArgumentTypeError):
     argument's type, argparse reports it as that argument's usage error."""
 
 
-# Series work grows with the square of the precision; at this bound a
-# one-line ``eval`` still answers in about a second.
+# The window's width in exponent units: a series with integer exponents holds
+# at most this many terms.  Each nested sqrt can double that (ROADMAP item 9).
 MAX_PRECISION = 1000
 
 
@@ -339,8 +340,7 @@ def _parse_corpus(
 def _counterexample_text(report: TransferReport) -> str:
     point = report.counterexample["point"]
     where = ", ".join(f"{name} = {value}" for name, value in sorted(point.items()))
-    if not where:
-        where = "(no variables)"
+    where = where or "(no variables)"
     return (
         f"counterexample at {where}: "
         f"{report.counterexample['lhs']} != {report.counterexample['rhs']}"

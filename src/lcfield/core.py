@@ -236,8 +236,7 @@ class LCNumber:
             for k, n in zip(self.k, self.n)
         )
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"LCNumber({repr_text(self)}, precision={self.precision})"

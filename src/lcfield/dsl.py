@@ -823,16 +823,20 @@ def _find_counterexample(e1, e2, names, precision, difference):
     each unreduced denominator is nonzero and the tree equals ``N/D``, so
     the sides can disagree only where the difference is nonzero.  A
     subgrid on which only a factor shared by some ``N`` and ``D``
-    vanishes is all poles, which a full walk skips too.  The other
-    points are still judged by the trees, so poles and truncated series
-    behave as in a full walk and the first witness is the same.
+    vanishes is all poles, which a full walk skips too.  A value whose
+    substitution would pass the digit cap is not substituted, which only
+    prunes less.  The other points are still judged by the trees, so poles
+    and truncated series behave as in a full walk: the same first witness.
     """
 
     def walk(rest, values):
         index = len(values)
         if index < len(names):
             for value in _WITNESS_CANDIDATES:
-                fixed = rest.substitute(index, value)
+                try:
+                    fixed = rest.substitute(index, value)
+                except LCError:  # past the digit cap: the trees judge the subgrid
+                    fixed = rest
                 if fixed:
                     found = walk(fixed, values + (value,))
                     if found is not None:

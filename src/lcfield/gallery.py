@@ -1,22 +1,23 @@
-"""Worked examples where one geometric figure passes into another.
+"""The worked examples, as reports of exact claims.
 
-Three classical limit situations, replayed with exact series values so
-that every step is an identity instead of a limit:
+A report is a flat list of claims, each with the computed value, the
+expected value and an exact pass flag: rational equality, series
+equality or classification membership, never a tolerance.  So in each
+example a step is an identity instead of a limit:
 
 * a line through a point at infinite distance is still a line, parallel
   "of sorts" to its neighbor: the slope is a nonzero infinitesimal;
 * two quantities differing by an infinitesimal are unequal yet
   infinitely close, and dropping the lower stratum recovers equality;
 * an ellipse with one focus sent to infinite distance satisfies, after
-  clearing radicals, an equation whose shadow is a parabola.
-
-All claims are exact: rational equality, series equality, or
-classification membership.
+  clearing radicals, an equation whose shadow is a parabola;
+* d(uv) = u·dv + v·du, once the infinitesimal du·dv/eps is discarded.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from .core import (
     classify,
     compare,
     eps,
+    inverse,
     is_infinitely_close,
     make_real,
     mul,
@@ -37,15 +39,15 @@ from .core import (
     sub,
     tlh_reduce,
 )
-from .dsl import Expr, canonicalize, evaluate, parse_text
+from .dsl import Expr, Mul, canonicalize, evaluate, parse_text, to_source
 from .poly import RationalForm
-from .report import (
-    GalleryReport,
-    equality_claim,
-    judged_claim,
-)
 
 __all__ = [
+    "Claim",
+    "GalleryReport",
+    "format_value",
+    "equality_claim",
+    "judged_claim",
     "DEFAULT_GRID",
     "LINE_THROUGH_INFINITY",
     "ELLIPSE_RADICAL_LHS",
@@ -57,7 +59,83 @@ __all__ = [
     "parabola_rows",
     "write_parabola_csv",
     "ellipse_parabola_report",
+    "product_rule_report",
 ]
+
+
+def format_value(value: object) -> str:
+    if isinstance(value, Classification):
+        return value.value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(format_value(v) for v in value) + ")"
+    return str(value)
+
+
+@dataclass(frozen=True)
+class Claim:
+    description: str
+    computed: str
+    expected: str
+    passed: bool
+
+    def to_json(self) -> dict:
+        return {
+            "description": self.description,
+            "computed": self.computed,
+            "expected": self.expected,
+            "pass": self.passed,
+        }
+
+    def render_text(self) -> str:
+        verdict = "PASS" if self.passed else "FAIL"
+        return f"[{verdict}] {self.description}: {self.computed} (expected {self.expected})"
+
+
+def judged_claim(
+    description: str, computed: object, expected_text: str, passed: bool
+) -> Claim:
+    """For claims whose expectation is a predicate rather than a value."""
+    return Claim(
+        description=description,
+        computed=format_value(computed),
+        expected=expected_text,
+        passed=passed,
+    )
+
+
+def equality_claim(description: str, computed: object, expected: object) -> Claim:
+    return judged_claim(
+        description, computed, format_value(expected), computed == expected
+    )
+
+
+@dataclass(frozen=True)
+class GalleryReport:
+    example_id: str
+    parameters: tuple[str, ...]
+    claims: tuple[Claim, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.claims)
+
+    def to_json(self) -> dict:
+        return {
+            "example": self.example_id,
+            "parameters": list(self.parameters),
+            "claims": [c.to_json() for c in self.claims],
+            "pass": self.passed,
+        }
+
+    def render_text(self) -> str:
+        lines = [f"example: {self.example_id}"]
+        if self.parameters:
+            lines.append("parameters: " + ", ".join(self.parameters))
+        lines.extend(c.render_text() for c in self.claims)
+        lines.append("PASS" if self.passed else "FAIL")
+        return "\n".join(lines)
 
 
 DEFAULT_GRID: tuple[Fraction, ...] = tuple(Fraction(k) for k in range(-3, 4))
@@ -165,7 +243,6 @@ def verify_conic_chain(precision: int = DEFAULT_PRECISION) -> GalleryReport:
     the parabola.  A failed step is a failed claim; every step is still
     reported.
     """
-    variables = ("R", "x", "y", "H")
     squared_sum = parse_text(
         "x^2 + y^2 + (x^2 + (y - H)^2) + 2*R - (H + 2)^2"
     )
@@ -180,9 +257,8 @@ def verify_conic_chain(precision: int = DEFAULT_PRECISION) -> GalleryReport:
         "4*(x^2 + y^2)*(x^2 + (y - H)^2)"
         " - ((H + 2)^2 - (x^2 + y^2) - (x^2 + (y - H)^2))^2"
     )
-    plane_vars = ("x", "y", "H")
-    chain = canonicalize(squared_chain, plane_vars)
-    target = canonicalize(parse_text(ELLIPSE_RATIONAL_LHS), plane_vars)
+    chain = canonicalize(squared_chain)
+    target = canonicalize(parse_text(ELLIPSE_RATIONAL_LHS))
     cofactor = RationalForm.make(
         chain.numerator * target.denominator, chain.denominator * target.numerator
     )
@@ -210,7 +286,7 @@ def verify_conic_chain(precision: int = DEFAULT_PRECISION) -> GalleryReport:
         ),
         equality_claim(
             "isolating the doubled radical is the same relation",
-            canonicalize(squared_sum, variables) == canonicalize(isolated, variables),
+            canonicalize(squared_sum) == canonicalize(isolated),
             True,
         ),
         judged_claim(
@@ -336,3 +412,64 @@ def ellipse_parabola_report(
     chain = verify_conic_chain(precision)
     grid = parabola_shadow_report(xs, precision)
     return GalleryReport("ellipse_parabola", grid.parameters, chain.claims + grid.claims)
+
+
+def product_rule_report(
+    u: Expr,
+    v: Expr,
+    var: str,
+    point: Fraction | int,
+    env: dict[str, LCNumber] | None = None,
+    precision: int = DEFAULT_PRECISION,
+) -> GalleryReport:
+    """The product rule as exact series bookkeeping at one point.
+
+    With ``dg = g(point + eps) - g(point)``: first the raw identity
+    ``d(uv) = u*dv + v*du + du*dv``, then the shadow identity that the
+    derivative of the product is ``st(u)*st(dv/eps) + st(v)*st(du/eps)``,
+    and finally that the dropped cross term ``du*dv/eps`` is
+    infinitesimal (or zero), which is exactly why dropping it is
+    harmless.
+    """
+    p = make_real(point, precision)
+    e = eps(precision)
+    bindings = dict(env or {})
+
+    def at(g: Expr, x: LCNumber) -> LCNumber:
+        bindings[var] = x
+        return evaluate(g, bindings, precision)
+
+    u_here, v_here = at(u, p), at(v, p)
+    du = sub(at(u, add(p, e)), u_here)
+    dv = sub(at(v, add(p, e)), v_here)
+    product = Mul((u, v), "*")
+    d_product = sub(at(product, add(p, e)), at(product, p))
+
+    rhs = add(add(mul(u_here, dv), mul(v_here, du)), mul(du, dv))
+    quotient = mul(d_product, inverse(e))
+    shadow_expected = standard_part(u_here) * standard_part(
+        mul(dv, inverse(e))
+    ) + standard_part(v_here) * standard_part(mul(du, inverse(e)))
+    cross = mul(mul(du, dv), inverse(e))
+
+    claims = (
+        equality_claim("d(uv) equals u*dv + v*du + du*dv", d_product, rhs),
+        equality_claim(
+            "shadow of d(uv)/eps equals st(u)*st(dv/eps) + st(v)*st(du/eps)",
+            standard_part(quotient),
+            shadow_expected,
+        ),
+        judged_claim(
+            "dropped cross term du*dv/eps is negligible",
+            cross,
+            "zero or infinitesimal",
+            classify(cross)
+            in (Classification.ZERO, Classification.INFINITESIMAL),
+        ),
+    )
+    parameters = (
+        f"u = {to_source(u)}",
+        f"v = {to_source(v)}",
+        f"{var} = {point}",
+    )
+    return GalleryReport("product_rule", parameters, claims)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Mapping
 
-from .core import number_text, repr_text, signed_sum
+from .core import check_power, number_text, repr_text, signed_sum
 
 __all__ = ["Polynomial", "RationalForm", "poly_gcd"]
 
@@ -186,6 +186,7 @@ class Polynomial:
         p, q = value.numerator, value.denominator
         view = self.coefficients_in(index)
         degree = max(view, default=0)
+        check_power(max(abs(p), q), degree)  # max(|p|, q)^d: refused past the digit cap
         acc: dict[Monomial, int] = {}
         for k, coeff in view.items():
             factor = p**k * q ** (degree - k)
@@ -213,18 +214,14 @@ class Polynomial:
 
         return signed_sum((coef, 1, unit(mono)) for mono, coef in self.terms)
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"Polynomial({repr_text(self)})"
 
 
 def _normalize_gcd(p: Polynomial) -> Polynomial:
-    p = p.primitive()
-    if p.leading_coefficient < 0:
-        p = -p
-    return p
+    return p._divided_by(-p.content() if p.leading_coefficient < 0 else p.content())
 
 
 def _content_in(view: dict[int, Polynomial]) -> Polynomial:
@@ -397,8 +394,7 @@ class RationalForm:
             return self.numerator.render()
         return f"({self.numerator.render()}) / ({self.denominator.render()})"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"RationalForm({repr_text(self)})"

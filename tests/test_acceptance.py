@@ -29,13 +29,14 @@ from lcfield import (
     standard_part,
     sub,
 )
-from lcfield.calculus import derivative_at, product_rule_report, symbolic_derivative
+from lcfield.calculus import derivative_at, symbolic_derivative
 from lcfield.cli import load_corpus
 from lcfield.dsl import Mul, evaluate, identities_transfer_check, parse_text
 from lcfield.gallery import (
     DEFAULT_GRID,
     ELLIPSE_RATIONAL_LHS,
     parallel_lines_report,
+    product_rule_report,
     verify_conic_chain,
 )
 

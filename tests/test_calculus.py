@@ -28,10 +28,10 @@ from lcfield.calculus import (
     UnsupportedNode,
     derivative_at,
     differential_quotient,
-    product_rule_report,
     symbolic_derivative,
 )
 from lcfield.dsl import Const, NonRationalNode, canonicalize, evaluate, parse_text
+from lcfield.gallery import product_rule_report
 
 from _gen import expressions, rationals
 

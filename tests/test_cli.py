@@ -707,6 +707,16 @@ def test_transfer_counterexample_past_the_digit_cap_exits_three(capsys, tmp_path
     assert err == f"error: value has a number of more than {MAX_DIGITS} digits\n"
 
 
+def test_transfer_witness_search_refuses_a_substitution_past_the_digit_cap(capsys, tmp_path):
+    # the candidates 0, 1 and -1 are pruned, and 2^(10^11) is never computed
+    line = "(x-1)*(x+1)*x*x^99999999999 == 0"
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "transfer", corpus(tmp_path, line + "\n"))
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (4, "")
+    assert out == f"[FAIL] line 1: {line}\nchecked 1: 0 hold, 1 fail\n"
+
+
 def test_transfer_redraws_a_sample_point_whose_value_passes_the_digit_cap(capsys, tmp_path):
     # only x in {-1, 0, 1} keeps x^20000 under the digit cap; other points are redrawn
     code, out, err = invoke(capsys, "transfer", corpus(tmp_path, "x^20000 == x^20000\n"))

@@ -130,6 +130,16 @@ def test_conic_chain_records_the_cofactor():
     )
     assert recorded.computed == "-4·H^2"
     assert recorded.passed
+    # canonicalize orders the chain's variables itself: x, y, then H
+    rebuilt = next(
+        c
+        for c in report.claims
+        if c.description == "cofactor times the rational form rebuilds the squared chain"
+    )
+    assert rebuilt.computed == (
+        "4·x^2·H^2 + 16·x^2·H + 16·y^2·H - 16·y·H^2 + 16·x^2 + 16·y^2"
+        " - 16·y·H - 16·H^2 - 32·H - 16"
+    )
 
 
 def test_conic_chain_vertex_checks():

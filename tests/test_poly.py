@@ -202,6 +202,16 @@ def test_substitute_spot_check():
     assert p.substitute(1, 0) == P(XY, {(1, 0): -3})
 
 
+def test_substitute_refuses_a_power_past_the_digit_cap():
+    # x^20000 at 2 or at 1/2 holds 2^20000, about 6000 digits; at 0, 1
+    # and -1 every power stays small
+    p = P(XY, {(20000, 0): 1})
+    for value in (F(2), F(1, 2), F(-3)):
+        with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
+            p.substitute(0, value)
+    assert p.substitute(0, F(-1)) == P(XY, {(0, 0): 1})
+
+
 @given(polynomials(("x", "y", "z")), st.integers(0, 2))
 def test_the_view_in_one_variable_rebuilds_the_polynomial(a, index):
     x = Polynomial.var(a.variables, a.variables[index])

@@ -300,6 +300,27 @@ def test_witness_search_skips_the_subgrids_where_the_difference_vanishes(
     assert len(calls) <= 4
 
 
+def test_witness_search_does_not_substitute_a_candidate_past_the_digit_cap():
+    # 0, 1 and -1 are pruned; substituting any other candidate would raise
+    # it to the difference's degree, about 10^11, so the trees judge it,
+    # and their power is refused as at a pole
+    start = time.perf_counter()
+    report = check("(x-1)*(x+1)*x*x^99999999999", "0")
+    assert time.perf_counter() - start < 2
+    assert not report.identity
+    assert report.counterexample is None
+
+
+def test_a_candidate_past_the_digit_cap_keeps_the_witness_the_trees_give():
+    # the difference has degree 14001 in x, so 2^14001 passes the digit
+    # cap, but the trees evaluate to 6 and 0 at x = 2
+    lhs, rhs = "x^7000*x^7000*(x-1)*(x+1)/(x^7000*x^6999)", "0"
+    report = check(lhs, rhs, trials=0)
+    assert report.counterexample == {"point": {"x": "2"}, "lhs": "6", "rhs": "0"}
+    e1, e2 = parse_text(lhs), parse_text(rhs)
+    assert report.counterexample == exhaustive_counterexample(e1, e2, ["x"], 16)
+
+
 @pytest.mark.parametrize("corpus", ["identities.txt", "non_identities.txt"])
 def test_transfer_takes_no_gcd(monkeypatch, capsys, corpus):
     # the verdict and the witness search both use the cross-multiplied
