@@ -703,9 +703,8 @@ def _times(a: Polynomial, b: Polynomial, pos: int | None = None) -> Polynomial:
     has 39325 pairs but at most 8008 terms, and x^200·y^200 has one pair
     but C(402, 2) monomials of degree at most 400."""
     if len(a.terms) * len(b.terms) > MAX_TERMS:
-        used = {i for p in (a, b) for mono, _ in p.terms for i, e in enumerate(mono) if e}
-        degree = sum(a.terms[0][0]) + sum(b.terms[0][0])
-        _check_terms(len(used) + degree, degree, "product", pos)
+        degree = a.degree + b.degree
+        _check_terms(len(a.used() | b.used()) + degree, degree, "product", pos)
     return a * b
 
 

@@ -2,31 +2,36 @@
 
 Integer coefficients, a fixed variable tuple per value, and a graded
 lexicographic term order (total degree first, then left-to-right
-exponent comparison).  The gcd first tries a coprimality certificate:
-univariate images over GF(2^61 - 1), one per variable in which both
-polynomials have positive degree, whose gcds are all 1 only when the
-polynomials are coprime.  Most pairs reduced here are coprime, and they
-get 1 at once.  Every other pair falls back to a primitive
-pseudo-remainder sequence, recursing on the variable set, which alone
-computes a gcd of positive degree; its coefficients can grow fast on
-inputs with many variables, which a modular gcd would avoid (ROADMAP
-item 3).
+exponent comparison).  Each monomial is one ``int`` key (packed exponent
+vectors, Monagan and Pearce, CASC 2007): ``width``-bit fields holding
+the total degree, then each exponent, so key order is graded-lex order,
+a monomial product is a key sum and a constant's key is 0.  ``width`` is
+the least of 16, 32, 64, ... bits whose fields keep the degree below
+their top bit, a guard that a key difference sets exactly when an
+exponent underflows.  Each result is repacked to its own width, so equal
+polynomials have equal ``terms``, as ``RationalForm`` equality needs.
+The gcd first tries a coprimality certificate: univariate images over
+GF(2^61 - 1), one per variable in which both polynomials have positive
+degree, whose gcds are all 1 only when the polynomials are coprime.
+Most pairs reduced here are coprime, and they get 1 at once.  Every
+other pair falls back to a primitive pseudo-remainder sequence,
+recursing on the variable set, which alone computes a gcd of positive
+degree; its coefficients can grow fast on inputs with many variables,
+which a modular gcd would avoid (ROADMAP item 3).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from numbers import Rational
-from typing import Mapping
 
 from .core import check_power, number_text, repr_text, signed_sum
 
 __all__ = ["Polynomial", "RationalForm", "poly_gcd"]
-
-Monomial = tuple[int, ...]
 
 # The coprimality certificate works mod this prime, 2^61 - 1, at points
 # drawn from a generator seeded with _POINT_SEED, so every run draws the
@@ -34,28 +39,37 @@ Monomial = tuple[int, ...]
 _PRIME = (1 << 61) - 1
 _POINT_SEED = 61
 
+# The narrowest key width in bits; the terms of 1.
+_WIDTH = 16
+_ONE = ((0, 1),)
 
-def _grlex_key(mono: Monomial) -> tuple:
-    return (sum(mono), mono)
+
+def _width(degree: int) -> int:
+    """The key width of a polynomial of this total degree."""
+    return _WIDTH if degree < 1 << (_WIDTH - 1) else 1 << degree.bit_length().bit_length()
+
+
+def _key(exponents: tuple[int, ...], width: int) -> int:
+    return functools.reduce(lambda key, e: key << width | e, exponents, sum(exponents))
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """``terms`` maps exponent tuples to nonzero coefficients, stored in
-    descending graded-lex order so the leading term is ``terms[0]``."""
+    """``terms`` holds ``(key, coefficient)`` pairs, nonzero coefficients
+    only, in descending key (so graded-lex) order; ``width`` is the keys'."""
 
     variables: tuple[str, ...]
-    terms: tuple[tuple[Monomial, int], ...]
+    terms: tuple[tuple[int, int], ...]
+    width: int = _WIDTH
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_dict(
-        cls, variables: tuple[str, ...], mapping: Mapping[Monomial, int]
-    ) -> "Polynomial":
-        cleaned = {m: c for m, c in mapping.items() if c != 0}
-        ordered = sorted(cleaned.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-        return cls(variables, tuple(ordered))
+    def from_dict(cls, variables: tuple[str, ...], mapping: dict, width: int) -> "Polynomial":
+        """Keys at ``width`` -> coefficients; zeros dropped, keys narrowed if the degree allows."""
+        terms = tuple(sorted([t for t in mapping.items() if t[1]], reverse=True))
+        own = _width(terms[0][0] >> len(variables) * width) if terms else _WIDTH
+        return cls(variables, terms, width)._packed(own)
 
     @classmethod
     def zero(cls, variables: tuple[str, ...]) -> "Polynomial":
@@ -67,23 +81,47 @@ class Polynomial:
             raise TypeError(f"integer coefficient required, got {type(value).__name__}")
         if value == 0:
             return cls.zero(variables)
-        return cls(variables, (((0,) * len(variables), value),))
+        return cls(variables, ((0, value),))
 
     @classmethod
     def var(cls, variables: tuple[str, ...], name: str) -> "Polynomial":
-        index = variables.index(name)
-        mono = tuple(1 if i == index else 0 for i in range(len(variables)))
-        return cls(variables, ((mono, 1),))
+        # degree 1 in the top field and 1 in the variable's own field
+        size, index = len(variables), variables.index(name)
+        return cls(variables, ((1 << _WIDTH * size | 1 << _WIDTH * (size - 1 - index), 1),))
+
+    def _packed(self, width: int) -> "Polynomial":
+        """The same polynomial with its keys at ``width``."""
+        if width == self.width:
+            return self
+        terms = tuple((_key(mono, width), c) for mono, (_, c) in zip(self.exponents(), self.terms))
+        return Polynomial(self.variables, terms, width)
 
     # -- basics ----------------------------------------------------------
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or sum(self.terms[0][0]) == 0
+        return not self.terms or self.terms[0][0] == 0
 
     @property
     def leading_coefficient(self) -> int:
         return self.terms[0][1] if self.terms else 0
+
+    @property
+    def degree(self) -> int:
+        """The total degree, the leading key's top field; 0 for zero."""
+        return self.terms[0][0] >> len(self.variables) * self.width if self.terms else 0
+
+    def exponents(self) -> list[tuple[int, ...]]:
+        """Each term's exponents, in term order."""
+        size, width = len(self.variables), self.width
+        shifts, mask = [width * i for i in reversed(range(size))], (1 << width) - 1
+        return [tuple([key >> s & mask for s in shifts]) for key, _ in self.terms]
+
+    def used(self) -> set[int]:
+        """The indices of the variables that occur in some term."""
+        seen = functools.reduce(operator.or_, (key for key, _ in self.terms), 0)
+        size, mask = len(self.variables), (1 << self.width) - 1
+        return {i for i in range(size) if seen >> self.width * (size - 1 - i) & mask}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -98,25 +136,31 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_variables(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
+        width = max(self.width, other.width)
+        acc = dict(self._packed(width).terms)
+        for m, c in other._packed(width).terms:
             acc[m] = acc.get(m, 0) + c
-        return Polynomial.from_dict(self.variables, acc)
+        return Polynomial.from_dict(self.variables, acc, width)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, tuple((m, -c) for m, c in self.terms))
+        return Polynomial(self.variables, tuple((m, -c) for m, c in self.terms), self.width)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_variables(other)
-        acc: dict[Monomial, int] = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                m = tuple(x + y for x, y in zip(ma, mb))
+        if _ONE in (self.terms, other.terms):
+            return other if self.terms == _ONE else self
+        # the product's degree is the sum: no field of a key sum can overflow
+        width = _width(self.degree + other.degree)
+        left, right = self._packed(width).terms, other._packed(width).terms
+        acc: dict[int, int] = {}
+        for ma, ca in left:
+            for mb, cb in right:
+                m = ma + mb
                 acc[m] = acc.get(m, 0) + ca * cb
-        return Polynomial.from_dict(self.variables, acc)
+        return Polynomial.from_dict(self.variables, acc, width)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -137,30 +181,33 @@ class Polynomial:
         ValueError.
 
         In a monomial order LT(q·d) = LT(q)·LT(d), so each partial remainder
-        of an exact division has a leading term that LT(divisor) divides.
-        A primitive divisor that divides over Q divides over Z (Gauss's
-        lemma), and every divisor here is a gcd or a content.
+        of an exact division has a leading term that LT(divisor) divides:
+        its key minus LT(divisor)'s is nonnegative with every guard bit
+        clear.  A primitive divisor that divides over Q divides over Z
+        (Gauss's lemma), and every divisor here is a gcd or a content.
         """
         self._require_same_variables(divisor)
         if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
-        quot: dict[Monomial, int] = {}
-        work = dict(self.terms)
-        dm, dc = divisor.terms[0]
+        width = max(self.width, divisor.width)
+        guard = sum(1 << width * i for i in range(1, len(self.variables) + 2)) >> 1
+        (dm, dc), *rest = divisor._packed(width).terms
+        quot: dict[int, int] = {}
+        work = dict(self._packed(width).terms)
         while work:
-            m = max(work, key=_grlex_key)
+            m = max(work)
             c = work.pop(m)
-            diff = tuple(x - y for x, y in zip(m, dm))
+            diff = m - dm
             factor, rem = divmod(c, dc)
-            if any(d < 0 for d in diff) or rem:
+            if diff < 0 or diff & guard or rem:
                 raise ValueError("division is not exact")
             quot[diff] = factor
-            for m2, c2 in divisor.terms[1:]:
-                mm = tuple(x + y for x, y in zip(diff, m2))
+            for m2, c2 in rest:
+                mm = diff + m2
                 work[mm] = work.get(mm, 0) - factor * c2
                 if work[mm] == 0:
                     del work[mm]
-        return Polynomial.from_dict(self.variables, quot)
+        return Polynomial.from_dict(self.variables, quot, width)
 
     # -- content and substitution ---------------------------------------------
 
@@ -173,7 +220,8 @@ class Polynomial:
 
     def _divided_by(self, divisor: int) -> "Polynomial":
         """Each coefficient divided by ``divisor``, which divides them all."""
-        return Polynomial(self.variables, tuple((m, c // divisor) for m, c in self.terms))
+        terms = tuple((m, c // divisor) for m, c in self.terms)
+        return Polynomial(self.variables, terms, self.width)
 
     def substitute(self, index: int, value: Rational) -> "Polynomial":
         """``q^d · self`` with variable ``index`` set to ``value = p/q``, where
@@ -187,32 +235,33 @@ class Polynomial:
         view = self.coefficients_in(index)
         degree = max(view, default=0)
         check_power(max(abs(p), q), degree)  # max(|p|, q)^d: refused past the digit cap
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         for k, coeff in view.items():
             factor = p**k * q ** (degree - k)
-            for mono, coef in coeff.terms:
+            for mono, coef in coeff._packed(self.width).terms:
                 acc[mono] = acc.get(mono, 0) + coef * factor
-        return Polynomial.from_dict(self.variables, acc)
+        return Polynomial.from_dict(self.variables, acc, self.width)
 
     def coefficients_in(self, index: int) -> dict[int, "Polynomial"]:
         """View as a polynomial in variable ``index``: power -> coefficient,
-        each coefficient living in the same variable tuple with that slot zeroed.
-
-        Zeroing one slot in terms that share its exponent keeps them distinct
-        and in graded-lex order, so each coefficient takes its terms as they come.
-        """
-        buckets: dict[int, list[tuple[Monomial, int]]] = {}
-        for mono, coef in self.terms:
-            reduced = mono[:index] + (0,) + mono[index + 1:]
-            buckets.setdefault(mono[index], []).append((reduced, coef))
-        return {k: Polynomial(self.variables, tuple(terms)) for k, terms in buckets.items()}
+        each coefficient living in the same variable tuple with that slot
+        zeroed: subtracted from the key's field and from its degree."""
+        size, width = len(self.variables), self.width
+        shift, mask = width * (size - 1 - index), (1 << width) - 1
+        unit = 1 << shift | 1 << width * size
+        buckets: dict[int, dict[int, int]] = {}
+        for key, coef in self.terms:
+            e = key >> shift & mask
+            buckets.setdefault(e, {})[key - e * unit] = coef
+        return {e: Polynomial.from_dict(self.variables, b, width) for e, b in buckets.items()}
 
     def render(self) -> str:
-        def unit(mono: Monomial) -> str:
+        def unit(mono: tuple[int, ...]) -> str:
             factors = zip(self.variables, mono)
             return "·".join([n if e == 1 else f"{n}^{number_text(e)}" for n, e in factors if e])
 
-        return signed_sum((coef, 1, unit(mono)) for mono, coef in self.terms)
+        monos = self.exponents()
+        return signed_sum((coef, 1, unit(mono)) for mono, (_, coef) in zip(monos, self.terms))
 
     __str__ = render
 
@@ -258,17 +307,13 @@ def _point(size: int) -> tuple[int, ...]:
     return tuple(rng.randrange(1, _PRIME) for _ in range(size))
 
 
-def _degrees(p: Polynomial) -> list[int]:
-    """The degree of a nonzero ``p`` in each variable."""
-    return [max(column) for column in zip(*(mono for mono, _ in p.terms))]
-
-
-def _image(p: Polynomial, index: int, degree: int, point: tuple[int, ...]) -> list[int]:
-    """``p``, of ``degree`` in variable ``index``, mod _PRIME with every
-    other variable set to its coordinate of ``point``: coefficients mod
-    _PRIME, lowest degree first; the last is 0 when the image loses degree."""
+def _image(p: Polynomial, monos: list, index: int, degree: int, point: tuple) -> list[int]:
+    """``p``, with exponents ``monos`` and of ``degree`` in variable
+    ``index``, mod _PRIME with every other variable set to its coordinate
+    of ``point``: coefficients mod _PRIME, lowest degree first; the last is
+    0 when the image loses degree."""
     image = [0] * (degree + 1)
-    for mono, coef in p.terms:
+    for mono, (_, coef) in zip(monos, p.terms):
         for j, e in enumerate(mono):
             if e and j != index:
                 coef = coef * pow(point[j], e, _PRIME) % _PRIME
@@ -308,11 +353,12 @@ def _certified_coprime(f: Polynomial, g: Polynomial) -> bool:
     it divides both images, whose gcd is then not 1.  With no such x_i
     at all, no G can exist.
     """
-    degrees_f, degrees_g = _degrees(f), _degrees(g)
+    monos_f, monos_g = f.exponents(), g.exponents()
+    degrees = [[max(column) for column in zip(*monos)] for monos in (monos_f, monos_g)]
     point = _point(len(f.variables))
-    for index, (df, dg) in enumerate(zip(degrees_f, degrees_g)):
+    for index, (df, dg) in enumerate(zip(*degrees)):
         if df and dg:
-            a, b = _image(f, index, df, point), _image(g, index, dg, point)
+            a, b = _image(f, monos_f, index, df, point), _image(g, monos_g, index, dg, point)
             if not (a[-1] and b[-1] and _coprime_mod_prime(a, b)):
                 return False
     return True
@@ -330,10 +376,8 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     f._require_same_variables(g)
     if _certified_coprime(f, g):
         return Polynomial.const(f.variables, 1)
-    for index in range(len(f.variables)):
-        f_view, g_view = f.coefficients_in(index), g.coefficients_in(index)
-        if max(f_view) or max(g_view):  # always found: two constants are certified
-            break
+    index = min(f.used() | g.used())  # some variable occurs: two constants are certified
+    f_view, g_view = f.coefficients_in(index), g.coefficients_in(index)
     cont_f = _content_in(f_view)
     cont_g = _content_in(g_view)
     shared = poly_gcd(cont_f, cont_g)
@@ -368,10 +412,7 @@ class RationalForm:
         if not denominator:
             raise ZeroDivisionError("rational form with zero denominator")
         if not numerator:
-            return cls(
-                Polynomial.zero(numerator.variables),
-                Polynomial.const(numerator.variables, 1),
-            )
+            return cls(numerator, Polynomial(numerator.variables, _ONE))
         common = poly_gcd(numerator, denominator)
         if not common.is_constant:
             numerator = numerator.exact_div(common)
@@ -390,7 +431,7 @@ class RationalForm:
         return not self.numerator
 
     def render(self) -> str:
-        if self.denominator == Polynomial.const(self.denominator.variables, 1):
+        if self.denominator.terms == _ONE:
             return self.numerator.render()
         return f"({self.numerator.render()}) / ({self.denominator.render()})"
 

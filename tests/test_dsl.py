@@ -323,7 +323,7 @@ def test_a_repeated_denominator_is_not_multiplied_in_again():
     tree = parse_text(" + ".join(["1/(x*y + z + 1)"] * 60))
     fractions = dsl._Fractions(("x", "y", "z"))
     _, den = dsl._eval(tree, fractions.env, 0, fractions)
-    assert sum(den.terms[0][0]) == 2  # the total degree of the leading term
+    assert den.degree == 2  # the total degree of the leading term
     assert canonicalize(tree).render() == "(60) / (x·y + z + 1)"
 
 
@@ -804,7 +804,8 @@ def test_canonical_form_evaluates_like_the_tree(tree, qx, qy):
     symbols = sympy.symbols("x y")
     point = {s: sympy.Rational(q.numerator, q.denominator) for s, q in zip(symbols, (qx, qy))}
     num, den = (
-        sympy.Poly.from_dict(dict(p.terms), symbols).as_expr().subs(point)
+        sympy.Poly.from_dict(dict(zip(p.exponents(), (c for _, c in p.terms))), symbols)
+        .as_expr().subs(point)
         for p in (rf.numerator, rf.denominator)
     )
     assume(den != 0)

@@ -10,10 +10,10 @@ from time import perf_counter
 
 import pytest
 import sympy
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lcfield import DivisionByZero, LCError
-from lcfield.core import MAX_DIGITS
+from lcfield.core import MAX_DIGITS, check_power
 from lcfield.dsl import (
     Add,
     Const,
@@ -37,7 +37,21 @@ XY = ("x", "y")
 XYH = ("x", "y", "H")
 
 
-P = Polynomial.from_dict
+def P(variables, mapping):
+    """The polynomial with ``exponent tuple -> coefficient`` terms, built by
+    ``var``, ``const`` and the ring operations alone."""
+    result = Polynomial.zero(variables)
+    for mono, coef in mapping.items():
+        term = Polynomial.const(variables, coef)
+        for name, e in zip(variables, mono):
+            term = term * Polynomial.var(variables, name) ** e
+        result = result + term
+    return result
+
+
+def monomials(poly):
+    """``poly``'s terms as ``(exponent tuple, coefficient)`` pairs, in order."""
+    return list(zip(poly.exponents(), (c for _, c in poly.terms)))
 
 
 # -- hypothesis generator ------------------------------------------------------
@@ -53,7 +67,7 @@ def polynomials(draw, variables=XY, max_degree=3, max_terms=4, nonzero=False):
     entries = draw(
         st.dictionaries(monos, coefs, min_size=1 if nonzero else 0, max_size=max_terms)
     )
-    poly = Polynomial.from_dict(variables, entries)
+    poly = P(variables, entries)
     if nonzero and not poly:
         poly = poly + Polynomial.const(variables, 1)
     return poly
@@ -61,7 +75,7 @@ def polynomials(draw, variables=XY, max_degree=3, max_terms=4, nonzero=False):
 
 def to_sympy(poly, symbols):
     expr = sympy.Integer(0)
-    for mono, coef in poly.terms:
+    for mono, coef in monomials(poly):
         term = sympy.Integer(coef)
         for sym, exp in zip(symbols, mono):
             term *= sym**exp
@@ -74,18 +88,20 @@ def to_sympy(poly, symbols):
 
 def test_terms_are_stored_in_descending_grlex_order():
     p = P(XY, {(0, 0): 1, (2, 0): 1, (1, 1): 1, (0, 1): 1})
-    assert [m for m, _ in p.terms] == [(2, 0), (1, 1), (0, 1), (0, 0)]
+    assert [m for m, _ in monomials(p)] == [(2, 0), (1, 1), (0, 1), (0, 0)]
 
 
 def test_grlex_ranks_total_degree_first():
     # y^3 outranks x^2 despite the alphabetical tie-break inside a degree
     p = P(XY, {(2, 0): 1, (0, 3): 1})
-    assert p.terms[0][0] == (0, 3)
+    assert monomials(p)[0][0] == (0, 3)
 
 
 def test_zero_terms_are_dropped():
     assert not P(XY, {(1, 0): 0})
     assert not P(XY, {})
+    # from_dict itself drops a zero coefficient: the key of x at width 16
+    assert not Polynomial.from_dict(XY, {1 << 32 | 1 << 16: 0}, 16)
 
 
 def test_const_takes_only_integers():
@@ -186,13 +202,13 @@ def test_substitute_scales_by_the_denominator_and_keeps_the_zeros(a, index, valu
 @given(polynomials(), st.integers(0, 1), small_fractions)
 def test_substitute_zeroes_the_fixed_slot(a, index, value):
     fixed = a.substitute(index, value)
-    assert all(mono[index] == 0 for mono, _ in fixed.terms)
+    assert all(mono[index] == 0 for mono, _ in monomials(fixed))
 
 
 @given(polynomials(), st.integers(0, 1))
 def test_substituting_zero_drops_the_terms_that_use_the_variable(a, index):
-    kept = {mono: coef for mono, coef in a.terms if mono[index] == 0}
-    assert a.substitute(index, 0) == Polynomial.from_dict(XY, kept)
+    kept = {mono: coef for mono, coef in monomials(a) if mono[index] == 0}
+    assert a.substitute(index, 0) == P(XY, kept)
 
 
 def test_substitute_spot_check():
@@ -217,9 +233,9 @@ def test_the_view_in_one_variable_rebuilds_the_polynomial(a, index):
     x = Polynomial.var(a.variables, a.variables[index])
     view = a.coefficients_in(index)
     for coeff in view.values():
-        assert all(mono[index] == 0 for mono, _ in coeff.terms)
-        # built without sorting, so it must already be stored canonically
-        assert coeff == Polynomial.from_dict(a.variables, dict(coeff.terms))
+        assert all(mono[index] == 0 for mono, _ in monomials(coeff))
+        # stored canonically: equal to the same terms built afresh
+        assert coeff == P(a.variables, dict(monomials(coeff)))
     assert sum((c * x**k for k, c in view.items()), Polynomial.zero(a.variables)) == a
 
 
@@ -310,7 +326,7 @@ def test_gcd_with_zero():
 )
 def test_gcd_divides_both_and_sees_planted_factors(a, b, g):
     def degree(p):  # the graded-lex leading term has the top total degree
-        return sum(p.terms[0][0])
+        return p.degree
 
     d = poly_gcd(a * g, b * g)
     (a * g).exact_div(d)  # each raises unless d divides
@@ -558,7 +574,7 @@ def test_every_coefficient_is_an_int(tree):
 
 def test_polynomial_render_spot_checks():
     h_only = ("H",)
-    p = Polynomial.from_dict(h_only, {(2,): -4})
+    p = P(h_only, {(2,): -4})
     assert p.render() == "-4·H^2"
     q = P(XY, {(1, 1): 1, (0, 0): -1})
     assert q.render() == "x·y - 1"
@@ -568,7 +584,7 @@ def test_polynomial_render_spot_checks():
 def _reference_render(poly):
     """``poly`` as text, each coefficient printed by ``str``."""
     parts = []
-    for mono, coef in poly.terms:
+    for mono, coef in monomials(poly):
         factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(poly.variables, mono) if e]
         mag = abs(coef)
         if not factors:
@@ -596,3 +612,163 @@ def test_render_matches_the_reference_layout(poly):
 def test_render_refuses_a_number_past_the_digit_cap(source):
     with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
         canonicalize(parse_text(source)).render()
+
+
+# -- packed keys against an exponent-tuple reference ------------------------------
+#
+# A reference polynomial is a dict ``exponent tuple -> nonzero coefficient``
+# over XY.  Exponents are drawn around the key width's limits: 16-bit
+# fields keep the total degree below 2^15 and 32-bit ones below 2^31, so
+# sums, products, powers, quotients and slices cross a repack both ways.
+
+edge_exponents = st.sampled_from([0, 1, 2, 2**14, 2**15 - 1, 2**15, 2**16, 2**31 - 1, 2**31])
+edge_monomials = st.tuples(edge_exponents, edge_exponents)
+nonzero_coefs = coefs.filter(bool)
+
+
+def edge_dicts(max_terms=3, min_terms=0):
+    return st.dictionaries(edge_monomials, nonzero_coefs, min_size=min_terms, max_size=max_terms)
+
+
+def as_dict(poly):
+    return dict(monomials(poly))
+
+
+def grlex(mono):
+    return (sum(mono), mono)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_pow(a, n):
+    out = {(0, 0): 1}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_div_by_term(a, mono, coef):
+    """``a`` divided by one term over Z, or None when that is not exact."""
+    out = {}
+    for m, c in a.items():
+        diff = tuple(x - y for x, y in zip(m, mono))
+        if min(diff) < 0 or c % coef:
+            return None
+        out[diff] = c // coef
+    return out
+
+
+def ref_coefficients_in(a, index):
+    out = {}
+    for m, c in a.items():
+        out.setdefault(m[index], {})[m[:index] + (0,) + m[index + 1:]] = c
+    return out
+
+
+def ref_substitute(a, index, value):
+    p, q = value.numerator, value.denominator
+    view = ref_coefficients_in(a, index)
+    degree = max(view, default=0)
+    out = {}
+    for k, coeff in view.items():
+        out = ref_add(out, {m: c * p**k * q ** (degree - k) for m, c in coeff.items()})
+    return out
+
+
+def assert_same(poly, reference):
+    """``poly`` holds ``reference``'s terms, in graded-lex order, and has the
+    very ``terms`` of the same value built from scratch."""
+    assert monomials(poly) == sorted(reference.items(), key=lambda t: grlex(t[0]), reverse=True)
+    assert poly.terms == P(XY, reference).terms
+
+
+@given(edge_dicts(), edge_dicts(), edge_dicts(max_terms=2, min_terms=1), st.integers(0, 3))
+def test_ring_operations_match_the_tuple_reference(a, b, d, n):
+    pa, pb, pd = P(XY, a), P(XY, b), P(XY, d)
+    assert_same(pa, a)
+    assert_same(pa + pb, ref_add(a, b))
+    assert_same(pa - pb, ref_add(a, ref_neg(b)))
+    assert_same(-pa, ref_neg(a))
+    assert_same(pa * pb, ref_mul(a, b))
+    assert_same(pa**n, ref_pow(a, n))
+    assert_same((pa * pd).exact_div(pd), a)
+    assert pa.content() == math.gcd(*a.values())
+    assert pa.render() == _reference_render(pa)  # its terms in the reference's order
+    # equal values built by different routes have equal terms
+    assert (pa + pb - pb).terms == pa.terms
+    assert (pa * pb).terms == (pb * pa).terms
+    assert (pa * pd - pd * pa).terms == ()
+
+
+@given(edge_dicts(), edge_monomials, nonzero_coefs)
+def test_division_by_a_term_matches_the_tuple_reference(a, mono, coef):
+    # a key difference that underflows a field sets its guard bit
+    quotient = ref_div_by_term(a, mono, coef)
+    if quotient is None:
+        with pytest.raises(ValueError):
+            P(XY, a).exact_div(P(XY, {mono: coef}))
+    else:
+        assert_same(P(XY, a).exact_div(P(XY, {mono: coef})), quotient)
+
+
+@given(edge_dicts(max_terms=4), st.integers(0, 1), small_fractions)
+def test_views_and_substitution_match_the_tuple_reference(a, index, value):
+    view = P(XY, a).coefficients_in(index)
+    expected = ref_coefficients_in(a, index)
+    assert sorted(view) == sorted(expected)
+    for k, coeff in view.items():
+        assert_same(coeff, expected[k])
+    p, q = value.numerator, value.denominator
+    degree = max(expected, default=0)
+    try:
+        check_power(max(abs(p), q), degree)
+    except LCError:
+        with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
+            P(XY, a).substitute(index, value)
+    else:
+        assert_same(P(XY, a).substitute(index, value), ref_substitute(a, index, value))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(st.sampled_from([0, 2**14, 2**15 - 1, 2**15]), st.sampled_from([0, 1, 2**15])),
+    polynomials(max_degree=2, max_terms=3, nonzero=True),
+    polynomials(max_degree=2, max_terms=3, nonzero=True),
+)
+def test_gcd_commutes_with_a_monomial_factor_across_a_repack(mono, f, g):
+    # gcd(m·f, m·g) = m·gcd(f, g) in a unique factorization domain
+    m = P(XY, {mono: 1})
+    assert_same(poly_gcd(m * f, m * g), ref_mul({mono: 1}, as_dict(poly_gcd(f, g))))
+
+
+@pytest.mark.parametrize(
+    "source, same_as, rendered",
+    [
+        ("x^70000*y - y*x^70000", "0*x*y", "0"),
+        ("(x^40000)^2/x^79999", "x", "x"),
+        ("x^18446744073709551616*x", "x^18446744073709551617", "x^18446744073709551617"),
+    ],
+    ids=["cancelled", "divided", "past_64_bits"],
+)
+def test_repacked_forms_equal_the_directly_built_ones(source, same_as, rendered):
+    form = canonicalize(parse_text(source))
+    assert form == canonicalize(parse_text(same_as), form.numerator.variables)
+    assert form.render() == rendered
