@@ -553,9 +553,9 @@ def agrees_to_guaranteed_order(a: LCNumber, b: LCNumber) -> bool:
 
     ``sub`` keeps exactly the nonzero differences below both windows (its
     lead always survives the truncation), so agreement is an empty
-    difference.
+    difference; equal fields leave it empty at any precisions.
     """
-    return not sub(a, b).k
+    return a == b or not sub(a, b).k
 
 
 def check_power(m: int, n: int) -> None:

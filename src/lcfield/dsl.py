@@ -33,6 +33,7 @@ holding in the extended one".
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -190,6 +191,11 @@ class Expr:
 @dataclass(frozen=True)
 class Const(Expr):
     value: Fraction
+
+    @functools.cached_property
+    def embedded(self) -> dict[int, LCNumber]:
+        """``value`` as a series, by precision, filled in by ``_eval``."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -542,7 +548,12 @@ def _eval(node: Expr, env: Mapping, precision: int, alg):
     ``_Fractions``.  ``env`` binds each variable to such a value."""
     try:
         if isinstance(node, Const):
-            return alg.make_real(node.value, precision)
+            if alg is not core:
+                return alg.make_real(node.value, precision)
+            value = node.embedded.get(precision)
+            if value is None:
+                value = node.embedded[precision] = alg.make_real(node.value, precision)
+            return value
         if isinstance(node, Var):
             try:
                 return env[node.name]
@@ -755,27 +766,33 @@ class TransferReport:
 _RESAMPLE_CAP = 100
 
 
-def _draw_nonzero_rational(rng: random.Random) -> Fraction:
-    value = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-    return value if rng.random() < 0.5 else -value
+@functools.lru_cache(maxsize=4096)
+def _coordinate(n: int, q: int, k: int, precision: int) -> tuple[LCNumber, str]:
+    """The sample coordinate ``(n/q)·eps^k`` and its text, built once: the
+    draws hold at most 495 values per precision (|n|, q ≤ 9; |k| ≤ 1)."""
+    value = make_monomial(Fraction(n, q), k, precision)
+    return value, value.render()
 
 
-def _draw_finite(rng: random.Random, precision: int) -> LCNumber:
-    return make_real(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), precision)
+def _draw_finite(rng: random.Random, precision: int) -> tuple[LCNumber, str]:
+    return _coordinate(rng.randint(-9, 9), rng.randint(1, 9), 0, precision)
 
 
-def _draw_mixed(rng: random.Random, precision: int) -> LCNumber:
+def _draw_monomial(rng: random.Random, k: int, precision: int) -> tuple[LCNumber, str]:
+    n, q = rng.randint(1, 9), rng.randint(1, 9)
+    return _coordinate(n if rng.random() < 0.5 else -n, q, k, precision)
+
+
+def _draw_mixed(rng: random.Random, precision: int) -> tuple[LCNumber, str]:
     kind = rng.randrange(4)
     if kind == 0:
         return _draw_finite(rng, precision)
     if kind == 1:
-        return make_monomial(_draw_nonzero_rational(rng), 1, precision)
+        return _draw_monomial(rng, 1, precision)
     if kind == 2:
-        return make_monomial(_draw_nonzero_rational(rng), -1, precision)
-    return add(
-        _draw_finite(rng, precision),
-        make_monomial(_draw_nonzero_rational(rng), 1, precision),
-    )
+        return _draw_monomial(rng, -1, precision)
+    value = add(_draw_finite(rng, precision)[0], _draw_monomial(rng, 1, precision)[0])
+    return value, value.render()
 
 
 def _both_sides(e1, e2, point, precision):
@@ -789,7 +806,8 @@ def _both_sides(e1, e2, point, precision):
 
 def _sample_once(e1, e2, names, draw, rng, precision):
     for _ in range(_RESAMPLE_CAP):
-        point = {name: draw(rng, precision) for name in names}
+        drawn = [draw(rng, precision) for _ in names]
+        point = {name: value for name, (value, _) in zip(names, drawn)}
         sides = _both_sides(e1, e2, point, precision)
         if sides is None:
             continue
@@ -798,7 +816,7 @@ def _sample_once(e1, e2, names, draw, rng, precision):
         # tails differently even for a true identity, so raw term
         # equality would be the wrong judgment here.
         return {
-            "point": {name: value.render() for name, value in point.items()},
+            "point": {name: text for name, (_, text) in zip(names, drawn)},
             "agree": agrees_to_guaranteed_order(*sides),
         }
     return {"point": None, "agree": None}

@@ -307,17 +307,19 @@ def _point(size: int) -> tuple[int, ...]:
     return tuple(rng.randrange(1, _PRIME) for _ in range(size))
 
 
-def _image(p: Polynomial, monos: list, index: int, degree: int, point: tuple) -> list[int]:
-    """``p``, with exponents ``monos`` and of ``degree`` in variable
-    ``index``, mod _PRIME with every other variable set to its coordinate
-    of ``point``: coefficients mod _PRIME, lowest degree first; the last is
-    0 when the image loses degree."""
-    image = [0] * (degree + 1)
+def _image(p: Polynomial, monos: list, index: int, span: tuple, point: tuple) -> list[int]:
+    """``p``, with exponents ``monos`` and of lowest and highest degree
+    ``span`` in variable ``index``, divided by that variable to the lowest
+    degree, mod _PRIME with every other variable set to its coordinate of
+    ``point``: coefficients mod _PRIME, lowest degree first; the last is 0
+    when the image loses degree."""
+    low, degree = span
+    image = [0] * (degree - low + 1)
     for mono, (_, coef) in zip(monos, p.terms):
         for j, e in enumerate(mono):
             if e and j != index:
                 coef = coef * pow(point[j], e, _PRIME) % _PRIME
-        image[mono[index]] += coef
+        image[mono[index] - low] += coef
     return [c % _PRIME for c in image]
 
 
@@ -342,23 +344,31 @@ def _certified_coprime(f: Polynomial, g: Polynomial) -> bool:
     """True only if nonzero ``f`` and ``g`` share no factor of positive
     degree.  False claims nothing: the images below could not rule one out.
 
-    For each variable x_i in which both have positive degree, every other
-    variable is set to the same seeded point mod _PRIME.  The verdict is
-    True when, for every such x_i, both images keep their degree in x_i
-    and their gcd over GF(_PRIME) is 1; if any image loses degree, it is
-    False.  Sound (Brown, JACM 18(4), 1971): a common factor G of
-    positive degree has positive degree in some x_i, and both f and g
-    then do too.  The leading coefficient in x_i of G divides that of f,
+    A variable that divides every term of both is a common factor, and
+    the verdict is False.  Otherwise, for each variable x_i in which both
+    have positive degree, each is divided by its own lowest power of x_i
+    and every other variable is set to the same seeded point mod _PRIME,
+    so an image's length is bounded by the spread of its exponents in
+    x_i, not by their size.  The verdict is True when, for every such
+    x_i, both images keep their degree in x_i and their gcd over
+    GF(_PRIME) is 1; if any image loses degree, it is False.  Sound
+    (Brown, JACM 18(4), 1971): an irreducible common factor G of positive
+    degree is no variable, which would divide every term of both; it has
+    positive degree in some x_i, and f and g then do too.  G is prime to
+    x_i, so it divides both quotients by powers of x_i.  The leading
+    coefficient in x_i of G divides that of f's quotient, which is f's,
     so while f's image keeps its degree, G's image keeps deg_i G > 0, and
     it divides both images, whose gcd is then not 1.  With no such x_i
     at all, no G can exist.
     """
     monos_f, monos_g = f.exponents(), g.exponents()
-    degrees = [[max(column) for column in zip(*monos)] for monos in (monos_f, monos_g)]
+    spans = [[(min(c), max(c)) for c in zip(*monos)] for monos in (monos_f, monos_g)]
+    if any(sf[0] and sg[0] for sf, sg in zip(*spans)):
+        return False
     point = _point(len(f.variables))
-    for index, (df, dg) in enumerate(zip(*degrees)):
-        if df and dg:
-            a, b = _image(f, monos_f, index, df, point), _image(g, monos_g, index, dg, point)
+    for index, (sf, sg) in enumerate(zip(*spans)):
+        if sf[1] and sg[1]:
+            a, b = _image(f, monos_f, index, sf, point), _image(g, monos_g, index, sg, point)
             if not (a[-1] and b[-1] and _coprime_mod_prime(a, b)):
                 return False
     return True

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, streams."""
 
+import hashlib
 import io
 import itertools
 import json
@@ -791,13 +792,35 @@ def test_transfer_json_shape_and_seed(capsys, tmp_path):
     assert payload[1]["report"]["identity"] is False
 
 
+# sha256 of the stdout of ``transfer --format json -T 16 --seed S`` on each
+# shipped corpus: every point, text and verdict the sampler and the witness
+# search produce.  An intended change to the transfer output (ROADMAP items
+# 2 and 5) re-pins these digests.
+TRANSFER_DIGESTS = {
+    ("identities", 0): "67815ff76be3833128ffec94048034523b2effe0720d1b02a59dab7d602f423f",
+    ("identities", 1000): "b5aef8466621611a03dfde5458b13f72006539cb7f35f044152267e810300295",
+    ("non_identities", 0): "6bf9f06599ba70220bbb6cd14a84085bf249c6ccae630abc778a7558739f1de3",
+    ("non_identities", 1000): "03f47a2ab79b3803c7cfea3760aa717cd57bc4dfa1b675af8e3b9d28a3047a4e",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(TRANSFER_DIGESTS))
+def test_transfer_json_output_is_pinned_byte_for_byte(capsys, name, seed):
+    path = Path(__file__).resolve().parent.parent / "corpora" / f"{name}.txt"
+    code, out, err = invoke(
+        capsys, "transfer", "--format", "json", "-T", "16", "--seed", str(seed), str(path)
+    )
+    assert (code, err) == (0 if name == "identities" else 4, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSFER_DIGESTS[name, seed]
+
+
 def test_transfer_json_marks_a_sample_inconclusive_when_every_draw_fails(
     capsys, tmp_path, monkeypatch
 ):
     # every drawn point is the pole x = 0, so no draw can be evaluated
     monkeypatch.setattr(dsl, "_RESAMPLE_CAP", 2)
     for draw in ("_draw_finite", "_draw_mixed"):
-        monkeypatch.setattr(dsl, draw, lambda rng, precision: make_real(0, precision))
+        monkeypatch.setattr(dsl, draw, lambda rng, precision: (make_real(0, precision), "0"))
     code, out, err = invoke(capsys, "transfer", "--format", "json", corpus(tmp_path, "1/x == 1/x\n"))
     assert (code, err) == (0, "")
     [entry] = json.loads(out)

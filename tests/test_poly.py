@@ -435,6 +435,37 @@ def test_the_input_that_stalled_the_prs_is_reduced_at_once():
     assert sympy.gcd(num, den) == 1
 
 
+@settings(deadline=None)
+@given(nonzero_pairs(), st.data())
+def test_a_variable_dividing_every_term_of_both_is_never_certified_coprime(pair, data):
+    a, b = pair
+    x = Polynomial.var(a.variables, data.draw(st.sampled_from(a.variables)))
+    assert not _certified_coprime(x * a, x * b)
+
+
+@settings(deadline=None)
+@given(nonzero_pairs())
+def test_a_certificate_over_a_large_power_is_sound(pair):
+    # x^E·a and b share a factor exactly when x·a and b do
+    a, b = pair
+    x = Polynomial.var(a.variables, "x")
+    if _certified_coprime(x ** 9999999999 * a, b):
+        symbols = sympy.symbols(a.variables)
+        ours = to_sympy((x * a).primitive(), symbols), to_sympy(b.primitive(), symbols)
+        assert sympy.gcd(*ours) in (1, -1)
+
+
+@pytest.mark.parametrize("exponent", [10000000, 9999999999])
+def test_a_large_shared_power_is_reduced_at_once(exponent):
+    # Images once had one coefficient per degree up to the exponent:
+    # 10^7 took seconds and hundreds of MB, and ten digits asked for gigabytes.
+    tree = parse_text(f"x^{exponent}*(x+1)/(x^{exponent}*(x+2))")
+    start = perf_counter()
+    rendered = canonicalize(tree).render()
+    assert perf_counter() - start < 2
+    assert rendered == "(x + 1) / (x + 2)"
+
+
 # -- reduced fractions ---------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 both sides of the assignable divide."""
 
 import itertools
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -15,9 +16,12 @@ from lcfield import (
     LCError,
     agrees_to_guaranteed_order,
     dsl,
+    add,
     evaluate,
+    make_monomial,
     make_real,
     parse_text,
+    sub,
 )
 from lcfield import poly
 from lcfield.cli import main
@@ -121,6 +125,66 @@ def test_sampler_draw_order_is_pinned():
         "-5/2·eps",
         "8/9·eps^-1",
     ]
+
+
+def built_draw_finite(rng, precision):
+    return make_real(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), precision)
+
+
+def built_nonzero_rational(rng):
+    value = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return value if rng.random() < 0.5 else -value
+
+
+def built_draw_mixed(rng, precision):
+    """The sampler's draws as each point built its coordinates afresh."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return built_draw_finite(rng, precision)
+    if kind == 1:
+        return make_monomial(built_nonzero_rational(rng), 1, precision)
+    if kind == 2:
+        return make_monomial(built_nonzero_rational(rng), -1, precision)
+    return add(
+        built_draw_finite(rng, precision),
+        make_monomial(built_nonzero_rational(rng), 1, precision),
+    )
+
+
+def fields(value):
+    return value.k, value.d, value.n, value.q, value.precision
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=64))
+def test_tabled_draws_equal_the_built_ones(seed, precision):
+    for draw, built in (
+        (dsl._draw_finite, built_draw_finite),
+        (dsl._draw_mixed, built_draw_mixed),
+    ):
+        tabled_rng, built_rng = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            value, text = draw(tabled_rng, precision)
+            expected = built(built_rng, precision)
+            assert fields(value) == fields(expected)
+            assert text == expected.render()
+        assert tabled_rng.getstate() == built_rng.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+)
+def test_agreement_is_an_empty_difference(seed, p, r):
+    # The same draws at two precisions give equal values with different
+    # windows; sums of two draws give multi-term values.
+    a, b = (dsl._draw_mixed(random.Random(seed), precision)[0] for precision in (p, r))
+    c = dsl._draw_mixed(random.Random(seed + 1), r)[0]
+    values = (a, b, c, add(a, c), add(b, c), add(c, a))
+    for x, y in itertools.product(values, repeat=2):
+        assert agrees_to_guaranteed_order(x, y) == (not sub(x, y).k)
 
 
 @pytest.mark.parametrize(
