@@ -301,9 +301,11 @@ def load_corpus(path: str) -> list[tuple[int, str, str]]:
     Blank lines and '#' comments (whole-line or trailing) are skipped.
     Raises UsageError for a line without exactly one '=='.  The file is
     decoded in one piece, so a UnicodeDecodeError gives its byte offset.
+    A leading byte-order mark is dropped after decoding: the ``utf-8-sig``
+    codec would count that offset from after the mark.
     """
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+        text = handle.read().removeprefix("\ufeff")
     entries = []
     for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()

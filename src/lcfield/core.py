@@ -313,11 +313,7 @@ def _normalize(
 
 def make_real(q: RationalLike, precision: int = DEFAULT_PRECISION) -> LCNumber:
     """Embed a rational as an appreciable value (or zero)."""
-    n, q = _ratio(q)
-    _check_precision(precision)
-    if not n:
-        return _zero(precision)
-    return LCNumber((0,), 1, (n,), q, precision)
+    return make_monomial(q, 0, precision)
 
 
 def make_monomial(

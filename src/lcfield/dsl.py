@@ -50,7 +50,6 @@ from .core import (
     agrees_to_guaranteed_order,
     check_power,
     make_monomial,
-    make_real,
 )
 from .poly import Polynomial, RationalForm
 
@@ -768,8 +767,9 @@ _RESAMPLE_CAP = 100
 
 @functools.lru_cache(maxsize=4096)
 def _coordinate(n: int, q: int, k: int, precision: int) -> tuple[LCNumber, str]:
-    """The sample coordinate ``(n/q)·eps^k`` and its text, built once: the
-    draws hold at most 495 values per precision (|n|, q ≤ 9; |k| ≤ 1)."""
+    """The sample coordinate ``(n/q)·eps^k`` and its text, built once.  The
+    draws (|n|, q ≤ 9; |k| ≤ 1) and the witness grid, which adds ±10,
+    hold at most 497 values per precision."""
     value = make_monomial(Fraction(n, q), k, precision)
     return value, value.render()
 
@@ -795,30 +795,27 @@ def _draw_mixed(rng: random.Random, precision: int) -> tuple[LCNumber, str]:
     return value, value.render()
 
 
-def _both_sides(e1, e2, point, precision):
-    """``(lhs, rhs)`` at ``point``, or ``None`` where a side cannot be
+def _judge(e1, e2, names, drawn, precision):
+    """``({name: text}, (lhs, rhs))`` at the point whose coordinates are the
+    ``(value, text)`` pairs ``drawn``, or ``None`` where a side cannot be
     evaluated: a denominator vanishes or a number passes the digit cap."""
+    point = {name: value for name, (value, _) in zip(names, drawn)}
     try:
-        return evaluate(e1, point, precision), evaluate(e2, point, precision)
+        sides = evaluate(e1, point, precision), evaluate(e2, point, precision)
     except LCError:
         return None
+    return {name: text for name, (_, text) in zip(names, drawn)}, sides
 
 
 def _sample_once(e1, e2, names, draw, rng, precision):
     for _ in range(_RESAMPLE_CAP):
-        drawn = [draw(rng, precision) for _ in names]
-        point = {name: value for name, (value, _) in zip(names, drawn)}
-        sides = _both_sides(e1, e2, point, precision)
-        if sides is None:
-            continue
-        # Agreement in the guaranteed-order sense: equal on every term
-        # below both windows.  Cancellation can truncate the two sides'
-        # tails differently even for a true identity, so raw term
-        # equality would be the wrong judgment here.
-        return {
-            "point": {name: text for name, (_, text) in zip(names, drawn)},
-            "agree": agrees_to_guaranteed_order(*sides),
-        }
+        judged = _judge(e1, e2, names, [draw(rng, precision) for _ in names], precision)
+        if judged is not None:
+            # Agreement in the guaranteed-order sense: equal on every term
+            # below both windows.  Cancellation can truncate the two sides'
+            # tails differently even for a true identity, so raw term
+            # equality would be the wrong judgment here.
+            return {"point": judged[0], "agree": agrees_to_guaranteed_order(*judged[1])}
     return {"point": None, "agree": None}
 
 
@@ -859,15 +856,12 @@ def _find_counterexample(e1, e2, names, precision, difference):
                     if found is not None:
                         return found
             return None
-        point = {n: make_real(v, precision) for n, v in zip(names, values)}
-        sides = _both_sides(e1, e2, point, precision)
-        if sides is None or agrees_to_guaranteed_order(*sides):
+        drawn = [_coordinate(v.numerator, v.denominator, 0, precision) for v in values]
+        judged = _judge(e1, e2, names, drawn, precision)
+        if judged is None or agrees_to_guaranteed_order(*judged[1]):
             return None
-        return {
-            "point": {n: str(v) for n, v in zip(names, values)},
-            "lhs": sides[0].render(),
-            "rhs": sides[1].render(),
-        }
+        point, (lhs, rhs) = judged
+        return {"point": point, "lhs": lhs.render(), "rhs": rhs.render()}
 
     return walk(difference, ())
 

@@ -154,3 +154,18 @@ def random_series(rng: random.Random, bound: int = 3, max_terms: int = 3) -> LCN
     exps = rng.sample(range(-bound, bound + 1), count)
     pairs = [(Fraction(e), random_nonzero_rational(rng)) for e in exps]
     return LCNumber.from_terms(pairs)
+
+
+def fields(value: LCNumber) -> tuple:
+    """A value's five lattice fields."""
+    return value.k, value.d, value.n, value.q, value.precision
+
+
+def built_real(value, precision: int) -> LCNumber:
+    """The appreciable value (or zero) as ``make_real`` built it itself
+    before it became ``make_monomial`` at exponent 0: the reference for
+    ``make_real`` and for the witness grid's coordinates."""
+    value = Fraction(value)
+    if not value:
+        return LCNumber((), 1, (), 1, precision)
+    return LCNumber((0,), 1, (value.numerator,), value.denominator, precision)

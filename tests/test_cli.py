@@ -769,6 +769,22 @@ def test_transfer_on_a_file_that_is_not_utf8_exits_two(capsys, tmp_path, lines):
     assert err == f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte\n"
 
 
+def test_transfer_reads_a_corpus_that_starts_with_a_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"\xef\xbb\xbfx + 1 == 1 + x\n")
+    assert load_corpus(str(path)) == [(1, "x + 1", "1 + x")]
+    code, out, err = invoke(capsys, "transfer", str(path))
+    assert (code, out, err) == (0, "[PASS] line 1: x + 1 == 1 + x\nchecked 1: 1 hold, 0 fail\n", "")
+
+
+def test_a_decode_error_after_a_byte_order_mark_gives_its_offset_in_the_file(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"\xef\xbb\xbfx == x\n\xff == 1\n")
+    code, out, err = invoke(capsys, "transfer", str(path))
+    assert (code, out) == (2, "")
+    assert err == "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n"
+
+
 def test_transfer_malformed_line_exits_two(capsys, tmp_path):
     path = corpus(tmp_path, "a == b == c\n")
     code, _, err = invoke(capsys, "transfer", path)
@@ -812,6 +828,45 @@ def test_transfer_json_output_is_pinned_byte_for_byte(capsys, name, seed):
     )
     assert (code, err) == (0 if name == "identities" else 4, "")
     assert hashlib.sha256(out.encode()).hexdigest() == TRANSFER_DIGESTS[name, seed]
+
+
+# sha256 of the stdout of ``gallery --format F ID``, the same at every
+# truncation order (acceptance criterion 9), and of README's ``eval`` and
+# ``diff`` examples.  An intended change to that output re-pins these digests.
+GALLERY_DIGESTS = {
+    ("ellipse_parabola", "text"): "d8f408acd88c4fd04409a4b0a91029532feae7052ac5cf07da35b0b293a15e68",
+    ("ellipse_parabola", "json"): "05a43ae1df6fc630b773138045856fd62a6f0f614cab637446fd5c7491e02642",
+    ("infinitesimal_equality", "text"): "b8773f19183bf856deb09908a77e4871487bca7deb734b17c35f3db4bbac289a",
+    ("infinitesimal_equality", "json"): "1becc836ba0b8bb29ddc286863ceda3b41d68547dd413141a6157cadcc5053bf",
+    ("parallel_lines", "text"): "7dcdaf119345bba9229ca070e72314113f6d0ad326e4fddd277ae733d7c29e3d",
+    ("parallel_lines", "json"): "968f7202d6a52cd4bde4add4d018b5ea89f97bbad9889fddf84aa0576d0433bb",
+    ("product_rule", "text"): "b3d4ce8e5106d5402fcd6e65a732c5449a5b0f069913d70568fe6f83dd67afed",
+    ("product_rule", "json"): "9d0d02d0629ae89edf973e464061a36ba659f87031f4c38ef8b6329887e0ddb7",
+}
+EXAMPLE_DIGESTS = {
+    ("eval", "1/(1 - eps)"): "f59b191bc987cc67f8edddfc93da9989d5507a7410ef697cb3e5d0d42fa6d174",
+    ("eval", "-b", "x=3+eps", "st(x^2)"): "b07da02733884f646dcdd39212af15c7a9862bd5af8a84426360820327188d3e",
+    ("diff", "x^3", "x", "2"): "8758cdbedf93adb07ac073287c53221d04bbea69e5eb12607576f2951fb7f253",
+    ("eval", "--format", "json", "2 + 3*eps"): "b359ba63b2de56debcd75cafccdf042dc2842aeb35aa1bfd7fff0ea8d5b0ca89",
+    ("diff", "x^2", "x", "--", "-1/2"): "6f890cb785ff3204e99977065fc9b72d610e21862199db8640db44ceb72b1e46",
+    ("eval", "-b", "x=2", "--", "-x^2"): "c8c9ad03b1df947a557533e2fda14c4a32b596868ffcae22f6e53ad4670c2cab",
+    ("eval", "sqrt(4*eps)"): "24a2bc0188b35bc4084525095756e0f693543b40d7d914a4134cf9b99b050196",
+}
+
+
+@pytest.mark.parametrize("precision", ["4", "16", "64"])
+@pytest.mark.parametrize("example_id, fmt", sorted(GALLERY_DIGESTS))
+def test_gallery_output_is_pinned_byte_for_byte(capsys, example_id, fmt, precision):
+    code, out, err = invoke(capsys, "gallery", "--format", fmt, "-T", precision, example_id)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GALLERY_DIGESTS[example_id, fmt]
+
+
+@pytest.mark.parametrize("argv", sorted(EXAMPLE_DIGESTS))
+def test_readme_eval_and_diff_output_is_pinned_byte_for_byte(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_DIGESTS[argv]
 
 
 def test_transfer_json_marks_a_sample_inconclusive_when_every_draw_fails(

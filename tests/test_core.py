@@ -46,7 +46,7 @@ from lcfield import (
 )
 from lcfield.core import MAX_DIGITS
 
-from _gen import lc_numbers, nonzero_lc_numbers, rationals, nonzero_rationals
+from _gen import built_real, fields, lc_numbers, nonzero_lc_numbers, rationals, nonzero_rationals
 
 F = Fraction
 
@@ -96,6 +96,17 @@ def test_precision_must_be_a_positive_integer():
         make_real(1, precision=0)
     with pytest.raises(ValueError):
         make_real(1, precision=-3)
+    # the value is checked before the precision
+    with pytest.raises(TypeError):
+        make_real(0.5, precision=0)
+
+
+@given(
+    st.one_of(st.fractions(), st.integers(), st.just(0)),
+    st.integers(min_value=1, max_value=64),
+)
+def test_make_real_builds_the_value_it_built_itself(value, precision):
+    assert fields(make_real(value, precision)) == fields(built_real(value, precision))
 
 
 def test_rational_exponents_are_first_class():

@@ -27,6 +27,8 @@ from lcfield import poly
 from lcfield.cli import main
 from lcfield.dsl import NonRationalNode, identities_transfer_check
 
+from _gen import built_real, fields
+
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
 
@@ -151,10 +153,6 @@ def built_draw_mixed(rng, precision):
     )
 
 
-def fields(value):
-    return value.k, value.d, value.n, value.q, value.precision
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=64))
 def test_tabled_draws_equal_the_built_ones(seed, precision):
@@ -169,6 +167,14 @@ def test_tabled_draws_equal_the_built_ones(seed, precision):
             assert fields(value) == fields(expected)
             assert text == expected.render()
         assert tabled_rng.getstate() == built_rng.getstate()
+
+
+@pytest.mark.parametrize("precision", [4, 16, 64])
+def test_witness_grid_points_come_from_the_coordinate_table(precision):
+    for v in dsl._WITNESS_CANDIDATES:
+        value, text = dsl._coordinate(v.numerator, v.denominator, 0, precision)
+        assert fields(value) == fields(built_real(v, precision))
+        assert text == str(v)
 
 
 @settings(max_examples=60, deadline=None)
