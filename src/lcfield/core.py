@@ -12,10 +12,12 @@ infinity.
 Every value carries a relative precision ``T``: no term is stored at or
 beyond ``T`` exponent units above the leading exponent.  Addition and
 multiplication are exact whenever the exact result fits inside that
-window; ``inverse`` and ``sqrt`` share one power-series recurrence
-that expands ``a ** alpha`` up to the window's edge, so a product such
-as ``mul(a, inverse(a))`` agrees with the exact answer to the guaranteed
-order only.
+window; ``inverse`` and ``sqrt`` expand ``a ** alpha`` up to the
+window's edge in one power-series routine, so a product such as
+``mul(a, inverse(a))`` agrees with the exact answer to the guaranteed
+order only.  The routine runs a recurrence in general and the binomial
+closed form for a two-term series raised to an integer, such as
+``1/(x + eps)``; ``power`` of a two-term series takes that form too.
 
 No operation changes a value once built, and every operation is a pure
 function, so values may be freely shared across threads.  Floats are
@@ -415,11 +417,30 @@ def _series_power(a: LCNumber, p: int, r: int, u: int, v: int) -> LCNumber:
     the exponents, so it runs on ``a``'s exponent numerators, offset by the
     lead's, and with both sides scaled by ``r``.  ``t``'s coefficients are
     ``n_f / n_0``; each ``b_e`` is kept as a reduced ``int`` pair.
+
+    A two-term ``a`` raised to an integer ``p`` (``r == 1``) skips the
+    recurrence: with ``s = k1 - k0``, ``b_(j·s)`` is ``C(p, j)·(n1/n0)^j``
+    for ``j <= last``, the last step below the window (at most ``p`` when
+    ``p > 0``).  Over the one denominator ``|n0|^last`` term ``j`` is the
+    integer ``C(p, j)·(sign·n1)^j·|n0|^(last - j)``, and each term follows
+    from the one before by the exact division
+    ``·(p - j)·sign·n1 // ((j + 1)·|n0|)``.
     """
     k0, n0 = a.k[0], a.n[0]
     sign = 1 if n0 > 0 else -1
-    steps = [(k - k0, sign * n) for k, n in zip(a.k[1:], a.n[1:])]
     cutoff = a.precision * a.d
+    if r == 1 and len(a.k) == 2:
+        s, m = a.k[1] - k0, abs(n0)
+        last = -(-cutoff // s) - 1
+        if p > 0:
+            last = min(last, p)
+        t, top = sign * a.n[1], m**last
+        merged, c = {}, u * top
+        for j in range(last + 1):
+            merged[p * k0 + j * s] = c
+            c = c * (p - j) * t // ((j + 1) * m)
+        return _normalize(merged, a.d, v * top, a.precision)
+    steps = [(k - k0, sign * n) for k, n in zip(a.k[1:], a.n[1:])]
     reach = {0}
     frontier = reach
     while frontier:
@@ -452,8 +473,9 @@ def inverse(a: LCNumber) -> LCNumber:
 
 
 def power(a: LCNumber, n: int) -> LCNumber:
-    """Integer power by repeated squaring, a single term directly; ``a ** 0``
-    is 1 even for ``a == 0``.
+    """Integer power: a single term directly, two terms by the binomial
+    closed form of ``_series_power``, more by repeated squaring; ``a ** 0``
+    is 1 even for ``a == 0``.  A negative power inverts first.
 
     A power whose leading coefficient ``c0 ** n`` is sure to hold a number
     of more than MAX_DIGITS digits raises before any multiplication (see
@@ -466,9 +488,13 @@ def power(a: LCNumber, n: int) -> LCNumber:
     if n < 0:
         a, n = inverse(a), -n
     if a.n:
-        check_power(max(abs(a.n[0]), a.q) // gcd(a.n[0], a.q), n)
+        g = gcd(a.n[0], a.q)
+        check_power(max(abs(a.n[0]), a.q) // g, n)
     if len(a.k) == 1:
         return _term(a.k[0] * n, a.d, a.n[0] ** n, a.q**n, a.precision)
+    if len(a.k) == 2:
+        # c0 ** n from the reduced lead: n0 and q may share a factor (1 + eps/5)
+        return _series_power(a, n, 1, (a.n[0] // g) ** n, (a.q // g) ** n)
     result, base = None, a
     while True:
         if n & 1:

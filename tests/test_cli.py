@@ -647,6 +647,17 @@ def test_a_power_past_the_digit_cap_is_refused_before_it_is_computed(capsys, exp
     assert "Traceback" not in done.stderr
 
 
+def test_a_two_term_power_with_a_4000_digit_exponent_is_refused_at_once(capsys):
+    # ROADMAP item 7's second case: a lead of 1 passes check_power, and the
+    # binomial closed form builds the tail's 16 coefficients directly, so the
+    # value is refused when printed instead of after minutes of squaring.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "eval", f"(1+eps)^{'9' * MAX_DIGITS}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"error: value has a number of more than {MAX_DIGITS} digits\n"
+
+
 # The canonical verdict raises a polynomial to the power before any sample
 # does; (2*eps/2)^20000 is refused on its unreduced coefficient 2.  A power
 # checks both digit caps before either term budget, so the last line is

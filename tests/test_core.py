@@ -378,6 +378,76 @@ def test_power_matches_the_binomial_reference(a, n):
     assert _result(power(a, n)) == _reference_power(a, F(n), lead)
 
 
+@st.composite
+def two_term_operands(draw, square_lead=False):
+    """``c0·eps^e0 + c1·eps^(e0 + f)`` with both terms inside windows of up
+    to 64, where ``inverse`` and ``power`` take the binomial closed form.
+    Leads may be negative; in some draws the lead is ±1 over a tail with a
+    denominator > 1, so its lattice numerator is ±q, not the reduced ±1."""
+    precision = draw(st.integers(min_value=1, max_value=64))
+    e0 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    offsets = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+    f = draw(offsets.filter(lambda f: f < precision))
+    if draw(st.booleans()):
+        c0 = F(1) if square_lead else draw(st.sampled_from([F(1), F(-1)]))
+        c1 = draw(nonzero_rationals.filter(lambda c: c.denominator > 1))
+    else:
+        c0, c1 = draw(nonzero_rationals), draw(nonzero_rationals)
+        if square_lead:
+            c0 = c0 * c0
+    return LCNumber.from_terms([(e0, c0), (e0 + f, c1)], precision)
+
+
+def _reference_fields(a, alpha, lead):
+    return fields(LCNumber.from_terms(*_reference_power(a, alpha, lead)))
+
+
+def _squaring_power(a, n):
+    """``a ** n`` by repeated squaring through ``mul``, after one ``inverse``
+    for a negative ``n``."""
+    if n == 0:
+        return make_real(1, a.precision)
+    if n < 0:
+        a, n = inverse(a), -n
+    result, base = None, a
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
+
+
+@given(two_term_operands())
+def test_two_term_inverse_matches_the_binomial_reference(a):
+    assert len(a.k) == 2
+    assert fields(inverse(a)) == _reference_fields(a, F(-1), 1 / a.terms[0][1])
+
+
+@given(two_term_operands(square_lead=True))
+def test_two_term_sqrt_matches_the_binomial_reference(a):
+    c0 = a.terms[0][1]
+    lead = F(isqrt(c0.numerator), isqrt(c0.denominator))
+    assert fields(sqrt(a)) == _reference_fields(a, F(1, 2), lead)
+
+
+@given(two_term_operands(), st.integers(min_value=-20, max_value=20))
+def test_two_term_power_matches_the_binomial_and_squaring_references(a, n):
+    result = fields(power(a, n))
+    assert result == _reference_fields(a, F(n), a.terms[0][1] ** n)
+    assert result == fields(_squaring_power(a, n))
+
+
+def test_two_term_power_raises_the_reduced_lead():
+    # The lead 1 is 5/5 on the lattice: 5 ** 10**11 would never finish.
+    a = LCNumber.from_terms([(0, 1), (1, F(1, 5))], 16)
+    start = time.perf_counter()
+    result = power(a, 10**11)
+    assert time.perf_counter() - start < 1
+    assert fields(result) == _reference_fields(a, F(10**11), F(1))
+
+
 @pytest.mark.parametrize("n", range(-4, 7))
 def test_power_of_zero(n):
     zero = make_real(0, precision=5)
