@@ -12,12 +12,12 @@ infinity.
 Every value carries a relative precision ``T``: no term is stored at or
 beyond ``T`` exponent units above the leading exponent.  Addition and
 multiplication are exact whenever the exact result fits inside that
-window; ``inverse`` and ``sqrt`` expand ``a ** alpha`` up to the
-window's edge in one power-series routine, so a product such as
-``mul(a, inverse(a))`` agrees with the exact answer to the guaranteed
-order only.  The routine runs a recurrence in general and the binomial
-closed form for a two-term series raised to an integer, such as
-``1/(x + eps)``; ``power`` of a two-term series takes that form too.
+window; ``inverse``, ``sqrt`` and ``power`` expand ``a ** alpha`` to the
+window's edge in one power-series routine, so ``mul(a, inverse(a))``
+agrees with the exact answer to the guaranteed order only.  It builds a
+single term at once, takes the binomial closed form for a two-term series
+raised to an integer, such as ``1/(x + eps)``, and runs a recurrence
+otherwise; a positive ``power`` of three or more terms squares repeatedly.
 
 No operation changes a value once built, and every operation is a pure
 function, so values may be freely shared across threads.  Floats are
@@ -31,8 +31,8 @@ have equal fields.  The arithmetic works on those ``int``s alone;
 built from rationals and where ``terms`` and the accessors hand
 rationals back.  Scaling by a common denominator is a bijection onto
 the integers, so no answer differs from plain rational arithmetic.
-Single-term operands take a direct path in ``mul``, ``add``, ``sub``,
-``inverse`` and ``power`` that builds the one term with the same
+Single-term operands take a direct path in ``mul``, ``add``, ``sub``
+and the power routine that builds the one term with the same
 normalization.
 
 Exact numbers become text only through ``number_text``, which refuses a
@@ -409,7 +409,8 @@ def _series_power(a: LCNumber, p: int, r: int, u: int, v: int) -> LCNumber:
     """``a ** (p/r)`` for nonzero ``a``, expanded to the precision window.
 
     ``u/v``, with ``v > 0``, is ``c0 ** (p/r)`` for the leading coefficient
-    ``c0``.  With ``a = c0·eps^e0·(1 + t)``, ``b = (1 + t)^alpha`` satisfies
+    ``c0``, so a single term is ``(u/v)·eps^(e0·p/r)`` at once.  Otherwise,
+    with ``a = c0·eps^e0·(1 + t)``, ``b = (1 + t)^alpha`` satisfies
     ``(1 + t)·D(b) = alpha·D(t)·b``, where ``D`` multiplies each term by its
     exponent.  Hence J.C.P. Miller's recurrence
     ``e·b_e = sum_f ((alpha+1)·f - e)·t_f·b_(e-f)`` fills every exponent the
@@ -427,6 +428,8 @@ def _series_power(a: LCNumber, p: int, r: int, u: int, v: int) -> LCNumber:
     ``·(p - j)·sign·n1 // ((j + 1)·|n0|)``.
     """
     k0, n0 = a.k[0], a.n[0]
+    if len(a.k) == 1:
+        return _term(p * k0, r * a.d, u, v, a.precision)
     sign = 1 if n0 > 0 else -1
     cutoff = a.precision * a.d
     if r == 1 and len(a.k) == 2:
@@ -465,44 +468,40 @@ def inverse(a: LCNumber) -> LCNumber:
     """Multiplicative inverse: the power series of ``a ** -1`` to the window."""
     if not a.k:
         raise DivisionByZero("cannot invert zero")
-    n0 = a.n[0]
-    u, v = (a.q if n0 > 0 else -a.q), abs(n0)
-    if len(a.k) == 1:
-        return _term(-a.k[0], a.d, u, v, a.precision)
-    return _series_power(a, -1, 1, u, v)
+    return _series_power(a, -1, 1, a.q if a.n[0] > 0 else -a.q, abs(a.n[0]))
 
 
 def power(a: LCNumber, n: int) -> LCNumber:
-    """Integer power: a single term directly, two terms by the binomial
-    closed form of ``_series_power``, more by repeated squaring; ``a ** 0``
-    is 1 even for ``a == 0``.  A negative power inverts first.
+    """Integer power: ``_series_power`` at ``p = n`` for every nonzero base
+    but a positive power of three or more terms, which takes repeated
+    squaring; ``a ** 0`` is 1 even for ``a == 0``.
 
     A power whose leading coefficient ``c0 ** n`` is sure to hold a number
-    of more than MAX_DIGITS digits raises before any multiplication (see
+    of more than MAX_DIGITS digits raises before any work (see
     ``check_power``; ``c0 = p/q`` reduced).
     """
     if not isinstance(n, int):
         raise TypeError("exponent must be an integer")
     if n == 0:
         return make_real(1, a.precision)
+    if not a.k:
+        return inverse(a) if n < 0 else a
+    g = gcd(a.n[0], a.q)
+    p, q, m = a.n[0] // g, a.q // g, abs(n)
+    check_power(max(abs(p), q), m)
     if n < 0:
-        a, n = inverse(a), -n
-    if a.n:
-        g = gcd(a.n[0], a.q)
-        check_power(max(abs(a.n[0]), a.q) // g, n)
-    if len(a.k) == 1:
-        return _term(a.k[0] * n, a.d, a.n[0] ** n, a.q**n, a.precision)
-    if len(a.k) == 2:
-        # c0 ** n from the reduced lead: n0 and q may share a factor (1 + eps/5)
-        return _series_power(a, n, 1, (a.n[0] // g) ** n, (a.q // g) ** n)
-    result, base = None, a
-    while True:
-        if n & 1:
-            result = base if result is None else mul(result, base)
-        n >>= 1
-        if not n:
-            return result
-        base = mul(base, base)
+        p, q = (q if p > 0 else -q), abs(p)
+    elif len(a.k) > 2:
+        result, base = None, a
+        while True:
+            if n & 1:
+                result = base if result is None else mul(result, base)
+            n >>= 1
+            if not n:
+                return result
+            base = mul(base, base)
+    # c0 ** n from the reduced lead: n0 and q may share a factor (1 + eps/5)
+    return _series_power(a, n, 1, p**m, q**m)
 
 
 def sqrt(a: LCNumber) -> LCNumber:

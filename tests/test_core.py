@@ -448,6 +448,20 @@ def test_two_term_power_raises_the_reduced_lead():
     assert fields(result) == _reference_fields(a, F(10**11), F(1))
 
 
+@given(lc_numbers(min_terms=1, max_terms=5), st.integers(min_value=-20, max_value=-1))
+def test_negative_power_matches_inverting_then_squaring(a, n):
+    # power runs the power series at p = n; the reference inverts, then squares
+    assert fields(power(a, n)) == fields(_squaring_power(a, n))
+
+
+def test_negative_power_checks_the_digit_cap_before_any_work():
+    a = LCNumber.from_terms([(0, 2), (1, 1), (2, 1)], 16)
+    start = time.perf_counter()
+    with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
+        power(a, -99999999999)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("n", range(-4, 7))
 def test_power_of_zero(n):
     zero = make_real(0, precision=5)
@@ -600,6 +614,7 @@ def test_single_term_inverse_and_power_equal_the_exact_result(a, n):
     e, c, x = a
     _assert_exact(inverse(x), [(-e, 1 / c)], x.precision)
     _assert_exact(power(x, n), [(n * e, c**n)], x.precision)
+    _assert_exact(sqrt(mul(x, x)), [(e, abs(c))], x.precision)
 
 
 def test_single_term_pinned_cases():
