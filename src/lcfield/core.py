@@ -15,9 +15,8 @@ multiplication are exact whenever the exact result fits inside that
 window; ``inverse``, ``sqrt`` and ``power`` expand ``a ** alpha`` to the
 window's edge in one power-series routine, so ``mul(a, inverse(a))``
 agrees with the exact answer to the guaranteed order only.  It builds a
-single term at once, takes the binomial closed form for a two-term series
-raised to an integer, such as ``1/(x + eps)``, and runs a recurrence
-otherwise; a positive ``power`` of three or more terms squares repeatedly.
+single term at once and runs one integer recurrence for every series of
+two or more terms, whatever the exponent.
 
 No operation changes a value once built, and every operation is a pure
 function, so values may be freely shared across threads.  Floats are
@@ -33,7 +32,7 @@ rationals back.  Scaling by a common denominator is a bijection onto
 the integers, so no answer differs from plain rational arithmetic.
 Single-term operands take a direct path in ``mul``, ``add``, ``sub``
 and the power routine that builds the one term with the same
-normalization.
+normalization; that routine's one recurrence serves every longer series.
 
 Exact numbers become text only through ``number_text``, which refuses a
 number of more than ``MAX_DIGITS`` digits; ``signed_sum`` lays out the
@@ -413,55 +412,44 @@ def _series_power(a: LCNumber, p: int, r: int, u: int, v: int) -> LCNumber:
     with ``a = c0·eps^e0·(1 + t)``, ``b = (1 + t)^alpha`` satisfies
     ``(1 + t)·D(b) = alpha·D(t)·b``, where ``D`` multiplies each term by its
     exponent.  Hence J.C.P. Miller's recurrence
-    ``e·b_e = sum_f ((alpha+1)·f - e)·t_f·b_(e-f)`` fills every exponent the
-    tail reaches below the window, in ascending order.  It is homogeneous in
-    the exponents, so it runs on ``a``'s exponent numerators, offset by the
-    lead's, and with both sides scaled by ``r``.  ``t``'s coefficients are
-    ``n_f / n_0``; each ``b_e`` is kept as a reduced ``int`` pair.
+    ``e·b_e = sum_f ((alpha+1)·f - e)·t_f·b_(e-f)`` gives every coefficient
+    below the window in ascending order.  It is homogeneous in the
+    exponents, so it runs on the tail's exponent offsets ``f`` over their
+    gcd ``g``, with both sides scaled by ``r``; ``t_f`` is ``n_f / n0``, so
+    each step divides by ``r·e·n0``.
+    A positive integer power stops at ``p`` times the largest offset, since
+    ``(1 + t)^p`` has no term with more than ``p`` factors of ``t``.
 
-    A two-term ``a`` raised to an integer ``p`` (``r == 1``) skips the
-    recurrence: with ``s = k1 - k0``, ``b_(j·s)`` is ``C(p, j)·(n1/n0)^j``
-    for ``j <= last``, the last step below the window (at most ``p`` when
-    ``p > 0``).  Over the one denominator ``|n0|^last`` term ``j`` is the
-    integer ``C(p, j)·(sign·n1)^j·|n0|^(last - j)``, and each term follows
-    from the one before by the exact division
-    ``·(p - j)·sign·n1 // ((j + 1)·|n0|)``.
+    Each ``b_e`` is kept as the ``int`` ``B_e = u·b_e·(r²·|n0|)^depth``,
+    where ``depth`` bounds the factors of ``t`` in any term below the window,
+    so one denominator serves every term.  ``B_e`` is an integer: ``b_e`` sums
+    ``C(p/r, j)`` times products of ``j`` coefficients ``n_f / n0``, and
+    ``r^(2j)·C(p/r, j)`` is an integer (``±2·Catalan(j-1)`` at ``r = 2``).
+    So every step's division is exact, and ``_normalize`` reduces the one
+    denominator ``v·(r²·|n0|)^depth`` once.
     """
     k0, n0 = a.k[0], a.n[0]
     if len(a.k) == 1:
         return _term(p * k0, r * a.d, u, v, a.precision)
-    sign = 1 if n0 > 0 else -1
-    cutoff = a.precision * a.d
-    if r == 1 and len(a.k) == 2:
-        s, m = a.k[1] - k0, abs(n0)
-        last = -(-cutoff // s) - 1
-        if p > 0:
-            last = min(last, p)
-        t, top = sign * a.n[1], m**last
-        merged, c = {}, u * top
-        for j in range(last + 1):
-            merged[p * k0 + j * s] = c
-            c = c * (p - j) * t // ((j + 1) * m)
-        return _normalize(merged, a.d, v * top, a.precision)
-    steps = [(k - k0, sign * n) for k, n in zip(a.k[1:], a.n[1:])]
-    reach = {0}
-    frontier = reach
-    while frontier:
-        frontier = {x + k for x in frontier for k, _ in steps if x + k < cutoff} - reach
-        reach |= frontier
-    scale = abs(n0) * r
-    num, den = {0: 1}, {0: 1}  # b_e == num[e] / den[e]
-    for e in sorted(reach)[1:]:
-        parts = [(((p + r) * k - r * e) * n, e - k) for k, n in steps if e - k in num]
-        common = lcm(*(den[j] for _, j in parts))
-        acc = sum(w * num[j] * (common // den[j]) for w, j in parts)
-        total = scale * e * common
-        g = gcd(acc, total)
-        num[e], den[e] = acc // g, total // g
-    # Over the exponent denominator r·d the term b_e sits at p·k0 + r·e.
-    common = lcm(*den.values())
-    merged = {p * k0 + r * e: u * c * (common // den[e]) for e, c in num.items()}
-    return _normalize(merged, r * a.d, v * common, a.precision)
+    offsets = [k - k0 for k in a.k[1:]]
+    g = gcd(*offsets)
+    # step f adds ((p + r)·f - r·e)·n_f·B_(e-f) as (w - e·x)·B_(e-f)
+    steps = [(f // g, (p + r) * f // g * n, r * n) for f, n in zip(offsets, a.n[1:])]
+    last, top = (a.precision * a.d - 1) // g, steps[-1][0]
+    depth = last // steps[0][0]
+    if r == 1 and p > 0:
+        last, depth = min(last, p * top), min(depth, p)
+    scale = (r * r * abs(n0)) ** depth
+    # top zeros ahead of B_0, so b[-f] is B_(e-f) while B_e is appended
+    b, rn0 = [0] * top + [u * scale], r * n0
+    for e in range(1, last + 1):
+        acc = 0
+        for f, w, x in steps:
+            acc += (w - e * x) * b[-f]
+        b.append(acc // (e * rn0))
+    # Over the exponent denominator r·d the term b_e sits at p·k0 + r·g·e.
+    merged = dict(zip(range(p * k0, p * k0 + r * g * (last + 1), r * g), b[top:]))
+    return _normalize(merged, r * a.d, v * scale, a.precision)
 
 
 def inverse(a: LCNumber) -> LCNumber:
@@ -473,8 +461,7 @@ def inverse(a: LCNumber) -> LCNumber:
 
 def power(a: LCNumber, n: int) -> LCNumber:
     """Integer power: ``_series_power`` at ``p = n`` for every nonzero base
-    but a positive power of three or more terms, which takes repeated
-    squaring; ``a ** 0`` is 1 even for ``a == 0``.
+    and either sign of ``n``; ``a ** 0`` is 1 even for ``a == 0``.
 
     A power whose leading coefficient ``c0 ** n`` is sure to hold a number
     of more than MAX_DIGITS digits raises before any work (see
@@ -491,15 +478,6 @@ def power(a: LCNumber, n: int) -> LCNumber:
     check_power(max(abs(p), q), m)
     if n < 0:
         p, q = (q if p > 0 else -q), abs(p)
-    elif len(a.k) > 2:
-        result, base = None, a
-        while True:
-            if n & 1:
-                result = base if result is None else mul(result, base)
-            n >>= 1
-            if not n:
-                return result
-            base = mul(base, base)
     # c0 ** n from the reduced lead: n0 and q may share a factor (1 + eps/5)
     return _series_power(a, n, 1, p**m, q**m)
 

@@ -462,6 +462,47 @@ def test_negative_power_checks_the_digit_cap_before_any_work():
     assert time.perf_counter() - start < 1
 
 
+@st.composite
+def multi_term_operands(draw, square_lead=False):
+    """Series of 3 to 5 terms on exponent denominators of up to 4, inside
+    windows of up to 16.  Leads may be negative; in some draws the lead is
+    ±1 over tail coefficients with denominators > 1, so its lattice
+    numerator is ±q, not the reduced ±1."""
+    precision = draw(st.integers(min_value=1, max_value=16))
+    e0 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    offsets = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+    tail = draw(st.lists(offsets.filter(lambda f: f < precision), min_size=2, max_size=4, unique=True))
+    if draw(st.booleans()):
+        c0 = F(1) if square_lead else draw(st.sampled_from([F(1), F(-1)]))
+        tail_coefficients = nonzero_rationals.filter(lambda c: c.denominator > 1)
+    else:
+        c0, tail_coefficients = draw(nonzero_rationals), nonzero_rationals
+        if square_lead:
+            c0 = c0 * c0
+    pairs = [(e0 + f, draw(tail_coefficients)) for f in tail]
+    return LCNumber.from_terms([(e0, c0)] + pairs, precision)
+
+
+@given(multi_term_operands())
+def test_multi_term_inverse_matches_the_binomial_reference(a):
+    assert len(a.k) >= 3
+    assert fields(inverse(a)) == _reference_fields(a, F(-1), 1 / a.terms[0][1])
+
+
+@given(multi_term_operands(square_lead=True))
+def test_multi_term_sqrt_matches_the_binomial_reference(a):
+    c0 = a.terms[0][1]
+    lead = F(isqrt(c0.numerator), isqrt(c0.denominator))
+    assert fields(sqrt(a)) == _reference_fields(a, F(1, 2), lead)
+
+
+@given(multi_term_operands(), st.integers(min_value=-20, max_value=20))
+def test_multi_term_power_matches_the_binomial_and_squaring_references(a, n):
+    result = fields(power(a, n))
+    assert result == _reference_fields(a, F(n), a.terms[0][1] ** n)
+    assert result == fields(_squaring_power(a, n))
+
+
 @pytest.mark.parametrize("n", range(-4, 7))
 def test_power_of_zero(n):
     zero = make_real(0, precision=5)
