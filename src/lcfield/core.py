@@ -412,11 +412,12 @@ def _series_power(a: LCNumber, p: int, r: int, u: int, v: int) -> LCNumber:
     with ``a = c0·eps^e0·(1 + t)``, ``b = (1 + t)^alpha`` satisfies
     ``(1 + t)·D(b) = alpha·D(t)·b``, where ``D`` multiplies each term by its
     exponent.  Hence J.C.P. Miller's recurrence
-    ``e·b_e = sum_f ((alpha+1)·f - e)·t_f·b_(e-f)`` gives every coefficient
-    below the window in ascending order.  It is homogeneous in the
-    exponents, so it runs on the tail's exponent offsets ``f`` over their
-    gcd ``g``, with both sides scaled by ``r``; ``t_f`` is ``n_f / n0``, so
-    each step divides by ``r·e·n0``.
+    ``e·b_e = sum_f ((alpha+1)·f - e)·t_f·b_(e-f)`` fills every exponent
+    the tail reaches below the window, in ascending order, and no other: a
+    sparse tail costs its reachable sums, not its lattice.  It is
+    homogeneous in the exponents, so it runs on the result's exponent
+    numerators over ``r·d``, offset by the lead's ``p·k0``; ``t_f`` is
+    ``n_f / n0``, so each step divides by ``e·n0``.
     A positive integer power stops at ``p`` times the largest offset, since
     ``(1 + t)^p`` has no term with more than ``p`` factors of ``t``.
 
@@ -431,25 +432,28 @@ def _series_power(a: LCNumber, p: int, r: int, u: int, v: int) -> LCNumber:
     k0, n0 = a.k[0], a.n[0]
     if len(a.k) == 1:
         return _term(p * k0, r * a.d, u, v, a.precision)
-    offsets = [k - k0 for k in a.k[1:]]
-    g = gcd(*offsets)
-    # step f adds ((p + r)·f - r·e)·n_f·B_(e-f) as (w - e·x)·B_(e-f)
-    steps = [(f // g, (p + r) * f // g * n, r * n) for f, n in zip(offsets, a.n[1:])]
-    last, top = (a.precision * a.d - 1) // g, steps[-1][0]
-    depth = last // steps[0][0]
+    # Over r·d a tail offset f is r·f; step f adds ((p + r)·f - e)·n_f·B_(e-r·f)
+    # to e·n0·B_e, as (w - e·x)·B_(e-r·f).
+    steps = [(r * (k - k0), (p + r) * (k - k0) * n, n) for k, n in zip(a.k[1:], a.n[1:])]
+    span = r * (a.precision * a.d - 1)
+    depth = span // steps[0][0]
     if r == 1 and p > 0:
-        last, depth = min(last, p * top), min(depth, p)
-    scale = (r * r * abs(n0)) ** depth
-    # top zeros ahead of B_0, so b[-f] is B_(e-f) while B_e is appended
-    b, rn0 = [0] * top + [u * scale], r * n0
-    for e in range(1, last + 1):
-        acc = 0
+        span, depth = min(span, p * steps[-1][0]), min(depth, p)
+    base, scale = p * k0, (r * r * abs(n0)) ** depth
+    # the exponents the tail reaches below the window, found breadth first
+    reach, seen, last = [base], {base}, base + span
+    for k in reach:
+        for f, _, _ in steps:
+            if k + f <= last and k + f not in seen:
+                seen.add(k + f)
+                reach.append(k + f)
+    b = {base: u * scale}
+    for k in sorted(reach)[1:]:
+        e, acc = k - base, 0
         for f, w, x in steps:
-            acc += (w - e * x) * b[-f]
-        b.append(acc // (e * rn0))
-    # Over the exponent denominator r·d the term b_e sits at p·k0 + r·g·e.
-    merged = dict(zip(range(p * k0, p * k0 + r * g * (last + 1), r * g), b[top:]))
-    return _normalize(merged, r * a.d, v * scale, a.precision)
+            acc += (w - e * x) * b.get(k - f, 0)
+        b[k] = acc // (e * n0)
+    return _normalize(b, r * a.d, v * scale, a.precision)
 
 
 def inverse(a: LCNumber) -> LCNumber:

@@ -326,6 +326,35 @@ def power_operands(draw, square_lead=False):
     return LCNumber.from_terms([(e0, c0)] + [(e0 + f, c) for f, c in tail], precision)
 
 
+@st.composite
+def series_operands(draw, tail=(1, 1), max_precision=64, square_lead=False):
+    """``c0·eps^e0`` over a tail of ``tail[0]`` to ``tail[1]`` terms, all
+    inside windows of up to ``max_precision``, on exponent denominators of
+    up to 4.  Leads may be negative; in some draws the lead is ±1 over tail
+    coefficients with denominators > 1, so its lattice numerator is ±q, not
+    the reduced ±1."""
+    precision = draw(st.integers(min_value=1, max_value=max_precision))
+    e0 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    offsets = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+    below = offsets.filter(lambda f: f < precision)
+    fs = draw(st.lists(below, min_size=tail[0], max_size=tail[1], unique=True))
+    if draw(st.booleans()):
+        c0 = F(1) if square_lead else draw(st.sampled_from([F(1), F(-1)]))
+        coefficients = nonzero_rationals.filter(lambda c: c.denominator > 1)
+    else:
+        c0, coefficients = draw(nonzero_rationals), nonzero_rationals
+        if square_lead:
+            c0 = c0 * c0
+    pairs = [(e0 + f, draw(coefficients)) for f in fs]
+    return LCNumber.from_terms([(e0, c0)] + pairs, precision)
+
+
+def power_or_series_operands(square_lead=False):
+    """``power_operands`` or a series of 3 to 5 terms in windows of up to 16."""
+    longer = series_operands((2, 4), 16, square_lead)
+    return st.one_of(power_operands(square_lead), longer)
+
+
 def _result(value):
     return value.terms, value.precision
 
@@ -359,43 +388,26 @@ def test_mul_matches_the_fraction_keyed_reference(a, b):
     assert _result(mul(a, b)) == _reference_mul(a, b)
 
 
-@given(power_operands())
+@given(power_or_series_operands())
 def test_inverse_matches_the_binomial_reference(a):
     lead = 1 / a.terms[0][1]
     assert _result(inverse(a)) == _reference_power(a, F(-1), lead)
 
 
-@given(power_operands(square_lead=True))
+@given(power_or_series_operands(square_lead=True))
 def test_sqrt_matches_the_binomial_reference(a):
     c0 = a.terms[0][1]
     lead = F(isqrt(c0.numerator), isqrt(c0.denominator))
     assert _result(sqrt(a)) == _reference_power(a, F(1, 2), lead)
 
 
-@given(power_operands(), st.integers(min_value=-4, max_value=6))
+@given(power_or_series_operands(), st.integers(min_value=-20, max_value=20))
 def test_power_matches_the_binomial_reference(a, n):
     lead = a.terms[0][1] ** n
-    assert _result(power(a, n)) == _reference_power(a, F(n), lead)
-
-
-@st.composite
-def two_term_operands(draw, square_lead=False):
-    """``c0·eps^e0 + c1·eps^(e0 + f)`` with both terms inside windows of up
-    to 64, where ``inverse`` and ``power`` take the binomial closed form.
-    Leads may be negative; in some draws the lead is ±1 over a tail with a
-    denominator > 1, so its lattice numerator is ±q, not the reduced ±1."""
-    precision = draw(st.integers(min_value=1, max_value=64))
-    e0 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
-    offsets = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
-    f = draw(offsets.filter(lambda f: f < precision))
-    if draw(st.booleans()):
-        c0 = F(1) if square_lead else draw(st.sampled_from([F(1), F(-1)]))
-        c1 = draw(nonzero_rationals.filter(lambda c: c.denominator > 1))
-    else:
-        c0, c1 = draw(nonzero_rationals), draw(nonzero_rationals)
-        if square_lead:
-            c0 = c0 * c0
-    return LCNumber.from_terms([(e0, c0), (e0 + f, c1)], precision)
+    result = power(a, n)
+    assert _result(result) == _reference_power(a, F(n), lead)
+    # a second reference, through mul and not the binomial series
+    assert fields(result) == fields(_squaring_power(a, n))
 
 
 def _reference_fields(a, alpha, lead):
@@ -419,20 +431,20 @@ def _squaring_power(a, n):
         base = mul(base, base)
 
 
-@given(two_term_operands())
+@given(series_operands())
 def test_two_term_inverse_matches_the_binomial_reference(a):
     assert len(a.k) == 2
     assert fields(inverse(a)) == _reference_fields(a, F(-1), 1 / a.terms[0][1])
 
 
-@given(two_term_operands(square_lead=True))
+@given(series_operands(square_lead=True))
 def test_two_term_sqrt_matches_the_binomial_reference(a):
     c0 = a.terms[0][1]
     lead = F(isqrt(c0.numerator), isqrt(c0.denominator))
     assert fields(sqrt(a)) == _reference_fields(a, F(1, 2), lead)
 
 
-@given(two_term_operands(), st.integers(min_value=-20, max_value=20))
+@given(series_operands(), st.integers(min_value=-20, max_value=20))
 def test_two_term_power_matches_the_binomial_and_squaring_references(a, n):
     result = fields(power(a, n))
     assert result == _reference_fields(a, F(n), a.terms[0][1] ** n)
@@ -448,6 +460,17 @@ def test_two_term_power_raises_the_reduced_lead():
     assert fields(result) == _reference_fields(a, F(10**11), F(1))
 
 
+def test_a_sparse_tail_costs_its_reachable_sums_not_its_lattice():
+    # Offsets 1 and 1 + 2^-20 over the exponent denominator 2^20: 136 of
+    # their sums fall below the window of 16, out of 16·2^20 lattice points.
+    a = LCNumber.from_terms([(0, 1), (1, 1), (1 + F(1, 2**20), 1)], 16)
+    start = time.perf_counter()
+    results = inverse(a), sqrt(a), power(a, 3)
+    assert time.perf_counter() - start < 1
+    for result, alpha in zip(results, (F(-1), F(1, 2), F(3))):
+        assert fields(result) == _reference_fields(a, alpha, F(1))
+
+
 @given(lc_numbers(min_terms=1, max_terms=5), st.integers(min_value=-20, max_value=-1))
 def test_negative_power_matches_inverting_then_squaring(a, n):
     # power runs the power series at p = n; the reference inverts, then squares
@@ -460,47 +483,6 @@ def test_negative_power_checks_the_digit_cap_before_any_work():
     with pytest.raises(LCError, match=f"more than {MAX_DIGITS} digits"):
         power(a, -99999999999)
     assert time.perf_counter() - start < 1
-
-
-@st.composite
-def multi_term_operands(draw, square_lead=False):
-    """Series of 3 to 5 terms on exponent denominators of up to 4, inside
-    windows of up to 16.  Leads may be negative; in some draws the lead is
-    ±1 over tail coefficients with denominators > 1, so its lattice
-    numerator is ±q, not the reduced ±1."""
-    precision = draw(st.integers(min_value=1, max_value=16))
-    e0 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
-    offsets = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
-    tail = draw(st.lists(offsets.filter(lambda f: f < precision), min_size=2, max_size=4, unique=True))
-    if draw(st.booleans()):
-        c0 = F(1) if square_lead else draw(st.sampled_from([F(1), F(-1)]))
-        tail_coefficients = nonzero_rationals.filter(lambda c: c.denominator > 1)
-    else:
-        c0, tail_coefficients = draw(nonzero_rationals), nonzero_rationals
-        if square_lead:
-            c0 = c0 * c0
-    pairs = [(e0 + f, draw(tail_coefficients)) for f in tail]
-    return LCNumber.from_terms([(e0, c0)] + pairs, precision)
-
-
-@given(multi_term_operands())
-def test_multi_term_inverse_matches_the_binomial_reference(a):
-    assert len(a.k) >= 3
-    assert fields(inverse(a)) == _reference_fields(a, F(-1), 1 / a.terms[0][1])
-
-
-@given(multi_term_operands(square_lead=True))
-def test_multi_term_sqrt_matches_the_binomial_reference(a):
-    c0 = a.terms[0][1]
-    lead = F(isqrt(c0.numerator), isqrt(c0.denominator))
-    assert fields(sqrt(a)) == _reference_fields(a, F(1, 2), lead)
-
-
-@given(multi_term_operands(), st.integers(min_value=-20, max_value=20))
-def test_multi_term_power_matches_the_binomial_and_squaring_references(a, n):
-    result = fields(power(a, n))
-    assert result == _reference_fields(a, F(n), a.terms[0][1] ** n)
-    assert result == fields(_squaring_power(a, n))
 
 
 @pytest.mark.parametrize("n", range(-4, 7))
