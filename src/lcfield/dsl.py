@@ -28,7 +28,9 @@ ordinary indeterminate ordered after all alphabetical variables and
 ``eps`` as ``1/H``.  ``identities_transfer_check`` combines the
 canonical verdict with exact sampling at assignable and inassignable
 points: the executable reading of "the rules of the finite realm keep
-holding in the extended one".
+holding in the extended one".  It compiles each line once into one
+straight-line program over both sides, so an operation the sides share
+runs once per sample point; one-shot evaluation keeps the tree walk.
 """
 
 from __future__ import annotations
@@ -190,11 +192,6 @@ class Expr:
 @dataclass(frozen=True)
 class Const(Expr):
     value: Fraction
-
-    @functools.cached_property
-    def embedded(self) -> dict[int, LCNumber]:
-        """``value`` as a series, by precision, filled in by ``_eval``."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -547,12 +544,7 @@ def _eval(node: Expr, env: Mapping, precision: int, alg):
     ``_Fractions``.  ``env`` binds each variable to such a value."""
     try:
         if isinstance(node, Const):
-            if alg is not core:
-                return alg.make_real(node.value, precision)
-            value = node.embedded.get(precision)
-            if value is None:
-                value = node.embedded[precision] = alg.make_real(node.value, precision)
-            return value
+            return alg.make_real(node.value, precision)
         if isinstance(node, Var):
             try:
                 return env[node.name]
@@ -602,6 +594,62 @@ def _eval(node: Expr, env: Mapping, precision: int, alg):
         _mark(err, node.pos)
         raise
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+
+def _program(e1: Expr, e2: Expr, names: Sequence[str], precision: int):
+    """Rational ``e1`` and ``e2`` as one straight-line program: a function
+    of the values of ``names``, in order, giving ``evaluate``'s ``(lhs,
+    rhs)``.  Each distinct operation, keyed by its ``core`` function and
+    operand slots, is one instruction, so what the sides share, a subtree
+    or a chain's left prefix folded as in ``_eval``, runs once.  Leaves and
+    exponents are built once; instructions call ``core``'s attributes."""
+    slots: dict = {name: i for i, name in enumerate(names)}
+    template: list = [None] * len(names)
+    code: list = []
+
+    def slot(key, value=None):
+        """``key``'s slot: a leaf holding ``value``, or an instruction's output."""
+        if key not in slots:
+            slots[key] = len(template)
+            template.append(value)
+            if value is None:
+                code.append((*key, slots[key]))
+        return slots[key]
+
+    def emit(node) -> int:
+        if isinstance(node, Var):
+            return slots[node.name]
+        if isinstance(node, Const):
+            return slot(("real", node.value), core.make_real(node.value, precision))
+        if isinstance(node, (Eps, HUnit)):
+            k = 1 if isinstance(node, Eps) else -1
+            return slot(("monomial", k), core.make_monomial(1, k, precision))
+        if isinstance(node, Pow):
+            n = slot(("exponent", node.exponent), node.exponent)
+            return slot(("power", emit(node.base), n))
+        if isinstance(node, Neg):
+            return slot(("neg", emit(node.arg), None))
+        args = iter(node.args)
+        value = emit(next(args))
+        for op, arg in zip(node.ops, args):
+            term = emit(arg)
+            if op == "/":
+                op, term = "*", slot(("inverse", term, None))
+            value = slot(({"+": "add", "-": "sub", "*": "mul"}[op], value, term))
+        return value
+
+    lhs, rhs = emit(e1), emit(e2)
+    kernels = vars(core)
+
+    def run(values: Sequence[LCNumber]) -> tuple[LCNumber, LCNumber]:
+        regs = template.copy()
+        regs[: len(names)] = values
+        for name, a, b, out in code:
+            f = kernels[name]
+            regs[out] = f(regs[a]) if b is None else f(regs[a], regs[b])
+        return regs[lhs], regs[rhs]
+
+    return run
 
 
 # -- canonical rational forms ----------------------------------------------
@@ -795,21 +843,20 @@ def _draw_mixed(rng: random.Random, precision: int) -> tuple[LCNumber, str]:
     return value, value.render()
 
 
-def _judge(e1, e2, names, drawn, precision):
-    """``({name: text}, (lhs, rhs))`` at the point whose coordinates are the
+def _judge(run, names, drawn):
+    """``({name: text}, run(values))`` at the point whose coordinates are the
     ``(value, text)`` pairs ``drawn``, or ``None`` where a side cannot be
     evaluated: a denominator vanishes or a number passes the digit cap."""
-    point = {name: value for name, (value, _) in zip(names, drawn)}
     try:
-        sides = evaluate(e1, point, precision), evaluate(e2, point, precision)
+        sides = run([value for value, _ in drawn])
     except LCError:
         return None
     return {name: text for name, (_, text) in zip(names, drawn)}, sides
 
 
-def _sample_once(e1, e2, names, draw, rng, precision):
+def _sample_once(run, names, draw, rng, precision):
     for _ in range(_RESAMPLE_CAP):
-        judged = _judge(e1, e2, names, [draw(rng, precision) for _ in names], precision)
+        judged = _judge(run, names, [draw(rng, precision) for _ in names])
         if judged is not None:
             # Agreement in the guaranteed-order sense: equal on every term
             # below both windows.  Cancellation can truncate the two sides'
@@ -826,9 +873,9 @@ _WITNESS_CANDIDATES = (
 )
 
 
-def _find_counterexample(e1, e2, names, precision, difference):
+def _find_counterexample(run, names, precision, difference):
     """The first point of the candidate grid, in ``itertools.product``
-    order (first name slowest), where the trees disagree, or ``None``.
+    order (first name slowest), where ``run``'s sides disagree, or ``None``.
 
     ``difference`` is ``N1·D2 - N2·D1`` of the trees' unreduced
     fractions, whose leading variables are ``names``.  The walk fixes one
@@ -857,7 +904,7 @@ def _find_counterexample(e1, e2, names, precision, difference):
                         return found
             return None
         drawn = [_coordinate(v.numerator, v.denominator, 0, precision) for v in values]
-        judged = _judge(e1, e2, names, drawn, precision)
+        judged = _judge(run, names, drawn)
         if judged is None or agrees_to_guaranteed_order(*judged[1]):
             return None
         point, (lhs, rhs) = judged
@@ -883,7 +930,8 @@ def identities_transfer_check(
     Deterministic for a given seed; points where a side cannot be
     evaluated (a vanishing denominator, a number past the digit cap) are
     redrawn, up to a cap, then marked inconclusive, and skipped in the
-    witness search.
+    witness search.  Both sides are compiled once into one program
+    (``_program``), so an operation they share runs once per point.
 
     The verdict is whether ``N1·D2 - N2·D1`` vanishes, for the trees'
     unreduced fractions ``N/D``; no gcd is taken.  Both products are held
@@ -907,17 +955,18 @@ def identities_transfer_check(
     difference = _times(n1, d2, e2.pos) - _times(n2, d1, e2.pos)
     identity = not difference
     sample_names = sorted(names)
+    run = _program(e1, e2, sample_names, precision)
     rng = random.Random(seed)
     finite = tuple(
-        _sample_once(e1, e2, sample_names, _draw_finite, rng, precision)
+        _sample_once(run, sample_names, _draw_finite, rng, precision)
         for _ in range(trials)
     )
     infinite = tuple(
-        _sample_once(e1, e2, sample_names, _draw_mixed, rng, precision)
+        _sample_once(run, sample_names, _draw_mixed, rng, precision)
         for _ in range(trials)
     )
     counterexample = None if identity else _find_counterexample(
-        e1, e2, sample_names, precision, difference
+        run, sample_names, precision, difference
     )
     return TransferReport(
         identity=identity,

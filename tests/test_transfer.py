@@ -23,11 +23,11 @@ from lcfield import (
     parse_text,
     sub,
 )
-from lcfield import poly
+from lcfield import core, poly
 from lcfield.cli import main
 from lcfield.dsl import NonRationalNode, identities_transfer_check
 
-from _gen import built_real, fields
+from _gen import built_real, expressions, fields
 
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 
@@ -277,6 +277,61 @@ def test_one_sided_units_still_share_a_canonical_frame():
     assert all(r["agree"] is True for r in report.infinite_samples)
 
 
+# -- the compiled program against the tree walk -------------------------------
+
+
+def sides_or_error(e1, e2, point, precision):
+    """Both sides' fields as ``evaluate`` gives them, or ``None`` where
+    either side raises."""
+    try:
+        return tuple(fields(evaluate(e, point, precision)) for e in (e1, e2))
+    except LCError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    expressions(names=("x", "y", "z")),
+    expressions(names=("x", "y", "z")),
+    st.sampled_from([dsl._draw_finite, dsl._draw_mixed]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=1, max_value=16),
+)
+def test_the_program_gives_both_sides_as_evaluate_does(e1, e2, draw, seed, precision):
+    names = sorted(dsl.free_variables(e1) | dsl.free_variables(e2))
+    rng = random.Random(seed)
+    values = [draw(rng, precision)[0] for _ in names]
+    expected = sides_or_error(e1, e2, dict(zip(names, values)), precision)
+    run = dsl._program(e1, e2, names, precision)
+    if expected is None:
+        with pytest.raises(LCError):
+            run(values)
+    else:
+        assert tuple(fields(side) for side in run(values)) == expected
+
+
+def test_the_program_runs_each_operation_the_sides_share_once(monkeypatch):
+    # the right side is the left prefix of the left side's + chain; the
+    # kernels are patched after compiling, so the program must read
+    # core's attributes when it runs
+    e1, e2 = parse_text("3*w*u + 3*z + u*(w - 2)"), parse_text("3*w*u + 3*z")
+    point = {"u": make_real(2), "w": make_real(5), "z": make_real(Fraction(1, 3))}
+    run = dsl._program(e1, e2, sorted(point), 16)
+    calls = Counter()
+    for name in ("add", "sub", "mul"):
+        def counted(*args, _name=name, _kernel=getattr(core, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(core, name, counted)
+    lhs, rhs = run([point[name] for name in sorted(point)])
+    shared = calls.copy()
+    calls.clear()
+    assert lhs == evaluate(e1, point, 16)
+    assert shared == calls == {"mul": 4, "add": 2, "sub": 1}
+    assert rhs == evaluate(e2, point, 16)
+
+
 # -- the pruned witness search against the exhaustive walk -------------------
 
 
@@ -353,21 +408,27 @@ def test_witness_search_skips_the_subgrids_where_the_difference_vanishes(
     monkeypatch,
 ):
     # The difference x*(y + 2) is zero on the whole x = 0 plane, the first
-    # 961 grid points; an exhaustive walk evaluates both sides at each.
-    calls = []
+    # 961 grid points; an exhaustive walk runs the line's program at each.
+    runs = []
+    program = dsl._program
 
     def counting(*args):
-        calls.append(args)
-        return evaluate(*args)
+        run = program(*args)
 
-    monkeypatch.setattr(dsl, "evaluate", counting)
+        def counted(values):
+            runs.append(values)
+            return run(values)
+
+        return counted
+
+    monkeypatch.setattr(dsl, "_program", counting)
     report = check("x*(y + 2) + y*z", "y*z", trials=0)
     assert report.counterexample == {
         "point": {"x": "1", "y": "0", "z": "0"},
         "lhs": "2",
         "rhs": "0",
     }
-    assert len(calls) <= 4
+    assert len(runs) <= 2
 
 
 def test_witness_search_does_not_substitute_a_candidate_past_the_digit_cap():
