@@ -21,16 +21,18 @@ exactly (``3.5`` is ``7/2``).  A literal ``p/q`` with positive integer
 ``q``, which keeps ``3/2^2`` equal to ``3/(2^2)``.  ``eps``, ``H``,
 ``sqrt`` and ``st`` are reserved words.
 
-One evaluator walks a tree, over series or over polynomial fractions.
+One evaluator walks a tree, over series, over polynomial fractions or
+over a recorder of kernel calls.
 Besides evaluation, rational expressions (no ``sqrt``/``st``) can be
 canonicalized to reduced polynomial fractions, treating ``H`` as an
 ordinary indeterminate ordered after all alphabetical variables and
 ``eps`` as ``1/H``.  ``identities_transfer_check`` combines the
 canonical verdict with exact sampling at assignable and inassignable
 points: the executable reading of "the rules of the finite realm keep
-holding in the extended one".  It compiles each line once into one
-straight-line program over both sides, so an operation the sides share
-runs once per sample point; one-shot evaluation keeps the tree walk.
+holding in the extended one".  It compiles each line once, by that
+walk over the recorder, into one straight-line program over both sides,
+so an operation the sides share runs once per sample point; one-shot
+evaluation walks the tree over series.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from . import core
@@ -540,8 +543,9 @@ def _mark(err: LCError, pos: int) -> None:
 
 def _eval(node: Expr, env: Mapping, precision: int, alg):
     """The tree's value over ``alg``, which has ``core``'s function names:
-    the ``core`` module, its functions read at each call, or a
-    ``_Fractions``.  ``env`` binds each variable to such a value."""
+    the ``core`` module, its functions read at each call, a
+    ``_Fractions``, or ``_program``'s recorder, whose values are slots.
+    ``env`` binds each variable to such a value."""
     try:
         if isinstance(node, Const):
             return alg.make_real(node.value, precision)
@@ -599,10 +603,11 @@ def _eval(node: Expr, env: Mapping, precision: int, alg):
 def _program(e1: Expr, e2: Expr, names: Sequence[str], precision: int):
     """Rational ``e1`` and ``e2`` as one straight-line program: a function
     of the values of ``names``, in order, giving ``evaluate``'s ``(lhs,
-    rhs)``.  Each distinct operation, keyed by its ``core`` function and
+    rhs)``.  ``_eval`` walks both trees over a recorder, whose values are
+    slots: each distinct operation, keyed by its ``core`` function and
     operand slots, is one instruction, so what the sides share, a subtree
-    or a chain's left prefix folded as in ``_eval``, runs once.  Leaves and
-    exponents are built once; instructions call ``core``'s attributes."""
+    or a chain's left prefix, runs once.  Leaves and exponents are built
+    once; instructions call ``core``'s attributes."""
     slots: dict = {name: i for i, name in enumerate(names)}
     template: list = [None] * len(names)
     code: list = []
@@ -616,29 +621,18 @@ def _program(e1: Expr, e2: Expr, names: Sequence[str], precision: int):
                 code.append((*key, slots[key]))
         return slots[key]
 
-    def emit(node) -> int:
-        if isinstance(node, Var):
-            return slots[node.name]
-        if isinstance(node, Const):
-            return slot(("real", node.value), core.make_real(node.value, precision))
-        if isinstance(node, (Eps, HUnit)):
-            k = 1 if isinstance(node, Eps) else -1
-            return slot(("monomial", k), core.make_monomial(1, k, precision))
-        if isinstance(node, Pow):
-            n = slot(("exponent", node.exponent), node.exponent)
-            return slot(("power", emit(node.base), n))
-        if isinstance(node, Neg):
-            return slot(("neg", emit(node.arg), None))
-        args = iter(node.args)
-        value = emit(next(args))
-        for op, arg in zip(node.ops, args):
-            term = emit(arg)
-            if op == "/":
-                op, term = "*", slot(("inverse", term, None))
-            value = slot(({"+": "add", "-": "sub", "*": "mul"}[op], value, term))
-        return value
+    def instruction(name):
+        return lambda a, b=None: slot((name, a, b))
 
-    lhs, rhs = emit(e1), emit(e2)
+    recorder = SimpleNamespace(
+        make_real=lambda q, p: slot(("real", q), core.make_real(q, p)),
+        # eps and H, the only monomials _eval asks for, differ in k alone
+        make_monomial=lambda c, k, p: slot(("monomial", k), core.make_monomial(c, k, p)),
+        power=lambda a, n: slot(("power", a, slot(("exponent", n), n))),
+        **{name: instruction(name) for name in ("add", "sub", "mul", "inverse", "neg")},
+    )
+    # the names' slots are the env: _eval looks up only names in it
+    lhs, rhs = (_eval(e, slots, precision, recorder) for e in (e1, e2))
     kernels = vars(core)
 
     def run(values: Sequence[LCNumber]) -> tuple[LCNumber, LCNumber]:
@@ -942,6 +936,7 @@ def identities_transfer_check(
     identically: no pole-free point lies there where the sides differ, so
     the grid order, hence the witness, is unchanged.
     """
+    core._check_precision(precision)
     names1, units1, nonrational1 = _scan(e1)
     names2, units2, nonrational2 = _scan(e2)
     names = names1 | names2

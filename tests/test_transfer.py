@@ -221,6 +221,16 @@ def test_non_rational_expressions_are_rejected():
         check("x", "st(x)")
 
 
+# a line with no literal and no sample builds no value at that precision,
+# yet is refused like the others
+@pytest.mark.parametrize(
+    "lhs, rhs, trials", [("x", "x", 0), ("x + 1", "1 + x", 0), ("x", "x", 1)]
+)
+def test_a_precision_below_one_is_refused_on_entry(lhs, rhs, trials):
+    with pytest.raises(ValueError, match="precision must be a positive integer"):
+        check(lhs, rhs, trials=trials, precision=0)
+
+
 @pytest.mark.parametrize(
     "lhs, rhs, error, message, position",
     [
@@ -330,6 +340,25 @@ def test_the_program_runs_each_operation_the_sides_share_once(monkeypatch):
     assert lhs == evaluate(e1, point, 16)
     assert shared == calls == {"mul": 4, "add": 2, "sub": 1}
     assert rhs == evaluate(e2, point, 16)
+
+
+def test_the_program_builds_its_leaves_once_per_line(monkeypatch):
+    # the literal 1/2 on both sides, eps, H and a negative power's exponent
+    # are leaves, built when the line compiles and never at a point
+    e1 = parse_text("-(x + 1/2)^-2 + eps*H*x")
+    e2 = parse_text("2*x - (x + 1/2)^-2 + H*1/2")
+    points = [make_real(v) for v in (1, Fraction(-2, 3), 5, Fraction(7, 2))]
+    expected = [(evaluate(e1, {"x": v}), evaluate(e2, {"x": v})) for v in points]
+    run = dsl._program(e1, e2, ["x"], 16)
+    calls = Counter()
+    for name in ("make_real", "make_monomial"):
+        def counted(*args, _name=name, _kernel=getattr(core, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(core, name, counted)
+    assert [run([value]) for value in points] == expected
+    assert not calls
 
 
 # -- the pruned witness search against the exhaustive walk -------------------
