@@ -417,43 +417,52 @@ def _series_power(a: LCNumber, p: int, r: int, u: int, v: int) -> LCNumber:
     sparse tail costs its reachable sums, not its lattice.  It is
     homogeneous in the exponents, so it runs on the result's exponent
     numerators over ``r·d``, offset by the lead's ``p·k0``; ``t_f`` is
-    ``n_f / n0``, so each step divides by ``e·n0``.
-    A positive integer power stops at ``p`` times the largest offset, since
-    ``(1 + t)^p`` has no term with more than ``p`` factors of ``t``.
+    ``n_f / n0``, so each step divides by ``e·n0``.  The walk stops at sums of
+    ``depth`` offsets: the window over the smallest offset, and at most ``p``
+    for a positive integer power, since ``(1 + t)^p`` has no term with more
+    than ``p`` factors of ``t``.
 
     Each ``b_e`` is kept as the ``int`` ``B_e = u·b_e·(r²·|n0|)^depth``,
-    where ``depth`` bounds the factors of ``t`` in any term below the window,
     so one denominator serves every term.  ``B_e`` is an integer: ``b_e`` sums
     ``C(p/r, j)`` times products of ``j`` coefficients ``n_f / n0``, and
     ``r^(2j)·C(p/r, j)`` is an integer (``±2·Catalan(j-1)`` at ``r = 2``).
     So every step's division is exact, and ``_normalize`` reduces the one
     denominator ``v·(r²·|n0|)^depth`` once.
     """
-    k0, n0 = a.k[0], a.n[0]
     if len(a.k) == 1:
-        return _term(p * k0, r * a.d, u, v, a.precision)
+        return _term(p * a.k[0], r * a.d, u, v, a.precision)
+    span = r * (a.precision * a.d - 1)
+    depth = span // (r * (a.k[1] - a.k[0]))
+    if r == 1 and p > 0:
+        depth = min(depth, p)
+    scale = (r * r * abs(a.n[0])) ** depth
+    b = _power_recurrence(a.k, a.n, p, r, span, depth, u * scale)
+    return _normalize(b, r * a.d, v * scale, a.precision)
+
+
+def _power_recurrence(ks, ns, p: int, r: int, span: int, depth: int, start: int) -> dict:
+    """``_series_power``'s ``B``, ``start`` at the lead, on ascending ``ks``
+    and their ``ns``, at every ``e <= span`` that at most ``depth`` offsets reach."""
+    k0, n0 = ks[0], ns[0]
     # Over r·d a tail offset f is r·f; step f adds ((p + r)·f - e)·n_f·B_(e-r·f)
     # to e·n0·B_e, as (w - e·x)·B_(e-r·f).
-    steps = [(r * (k - k0), (p + r) * (k - k0) * n, n) for k, n in zip(a.k[1:], a.n[1:])]
-    span = r * (a.precision * a.d - 1)
-    depth = span // steps[0][0]
-    if r == 1 and p > 0:
-        span, depth = min(span, p * steps[-1][0]), min(depth, p)
-    base, scale = p * k0, (r * r * abs(n0)) ** depth
-    # the exponents the tail reaches below the window, found breadth first
-    reach, seen, last = [base], {base}, base + span
-    for k in reach:
-        for f, _, _ in steps:
-            if k + f <= last and k + f not in seen:
-                seen.add(k + f)
-                reach.append(k + f)
-    b = {base: u * scale}
-    for k in sorted(reach)[1:]:
+    steps = [(r * (k - k0), (p + r) * (k - k0) * n, n) for k, n in zip(ks[1:], ns[1:])]
+    base = p * k0
+    # the exponents reached, found breadth first, each with its count of offsets
+    reach, seen, last = [(base, 0)], {base}, base + span
+    for k, count in reach:
+        if count < depth:
+            for f, _, _ in steps:
+                if (g := k + f) <= last and g not in seen:
+                    seen.add(g)
+                    reach.append((g, count + 1))
+    b = {base: start}
+    for k in sorted(seen)[1:]:
         e, acc = k - base, 0
         for f, w, x in steps:
             acc += (w - e * x) * b.get(k - f, 0)
         b[k] = acc // (e * n0)
-    return _normalize(b, r * a.d, v * scale, a.precision)
+    return b
 
 
 def inverse(a: LCNumber) -> LCNumber:

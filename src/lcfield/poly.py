@@ -10,6 +10,9 @@ the least of 16, 32, 64, ... bits whose fields keep the degree below
 their top bit, a guard that a key difference sets exactly when an
 exponent underflows.  Each result is repacked to its own width, so equal
 polynomials have equal ``terms``, as ``RationalForm`` equality needs.
+``P**n`` runs ``core``'s power recurrence with keys as exponents, since keys
+add under products and, at the width of ``P**n``, tell its monomials apart;
+its integer coefficients make each step's division exact.
 The gcd first tries a coprimality certificate: univariate images over
 GF(2^61 - 1), one per variable in which both polynomials have positive
 degree, whose gcds are all 1 only when the polynomials are coprime.
@@ -29,7 +32,7 @@ import random
 from dataclasses import dataclass
 from numbers import Rational
 
-from .core import check_power, number_text, repr_text, signed_sum
+from .core import _power_recurrence, check_power, number_text, repr_text, signed_sum
 
 __all__ = ["Polynomial", "RationalForm", "poly_gcd"]
 
@@ -165,14 +168,12 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.const(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if not self.terms:
+            return Polynomial.const(self.variables, 0**n)
+        width = _width(n * self.degree)
+        ks, cs = zip(*reversed(self._packed(width).terms))
+        terms = _power_recurrence(ks, cs, n, 1, n * (ks[-1] - ks[0]), n, cs[0] ** n)
+        return Polynomial.from_dict(self.variables, terms, width)
 
     # -- division ----------------------------------------------------------
 

@@ -735,6 +735,20 @@ def test_transfer_witness_search_refuses_a_substitution_past_the_digit_cap(capsy
     assert out == f"[FAIL] line 1: {line}\nchecked 1: 0 hold, 1 fail\n"
 
 
+def test_transfer_expands_a_power_of_ten_thousand_terms_at_once(capsys, tmp_path):
+    # (x+1)^9999 passes the term budget, and its coefficients run to 3000 digits
+    line = "(x+1)^9999 == 1"
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "transfer", corpus(tmp_path, line + "\n"))
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (4, "")
+    assert out.splitlines() == [
+        f"[FAIL] line 1: {line}",
+        f"       counterexample at x = 1: {2**9999} != 1",
+        "checked 1: 0 hold, 1 fail",
+    ]
+
+
 def test_transfer_redraws_a_sample_point_whose_value_passes_the_digit_cap(capsys, tmp_path):
     # only x in {-1, 0, 1} keeps x^20000 under the digit cap; other points are redrawn
     code, out, err = invoke(capsys, "transfer", corpus(tmp_path, "x^20000 == x^20000\n"))

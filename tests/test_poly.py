@@ -4,7 +4,9 @@ The gcd and normalization paths are cross-checked against sympy, which
 plays no part in the runtime code.
 """
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from time import perf_counter
 
@@ -731,7 +733,7 @@ def assert_same(poly, reference):
     assert poly.terms == P(XY, reference).terms
 
 
-@given(edge_dicts(), edge_dicts(), edge_dicts(max_terms=2, min_terms=1), st.integers(0, 3))
+@given(edge_dicts(), edge_dicts(), edge_dicts(max_terms=2, min_terms=1), st.integers(0, 6))
 def test_ring_operations_match_the_tuple_reference(a, b, d, n):
     pa, pb, pd = P(XY, a), P(XY, b), P(XY, d)
     assert_same(pa, a)
@@ -747,6 +749,26 @@ def test_ring_operations_match_the_tuple_reference(a, b, d, n):
     assert (pa + pb - pb).terms == pa.terms
     assert (pa * pb).terms == (pb * pa).terms
     assert (pa * pd - pd * pa).terms == ()
+
+
+@st.composite
+def unconstant_polynomials(draw):
+    """Over 3 or 4 variables, with no constant term, and with coefficients
+    other than ±1 on the lowest and the highest term: the power recurrence
+    divides by the lowest, and its key offsets borrow between fields."""
+    variables = ("a", "b", "c", "d")[: draw(st.integers(3, 4))]
+    monos = st.tuples(*[st.integers(0, 3)] * len(variables)).filter(any)
+    entries = draw(st.dictionaries(monos, nonzero_coefs, min_size=1, max_size=4))
+    non_units = nonzero_coefs.filter(lambda c: abs(c) > 1)
+    entries[min(entries, key=grlex)] = draw(non_units)
+    entries[max(entries, key=grlex)] = draw(non_units)
+    return P(variables, entries)
+
+
+@given(unconstant_polynomials(), st.integers(0, 6))
+def test_a_power_matches_repeated_multiplication(poly, n):
+    one = Polynomial.const(poly.variables, 1)
+    assert poly**n == functools.reduce(operator.mul, [poly] * n, one)
 
 
 @given(edge_dicts(), edge_monomials, nonzero_coefs)
