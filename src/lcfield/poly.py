@@ -168,8 +168,8 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if not self.terms:
-            return Polynomial.const(self.variables, 0**n)
+        if n == 1 or not self.terms:  # P**1 is P and 0**n is 0, but 0**0 is 1
+            return self if n else Polynomial.const(self.variables, 1)
         width = _width(n * self.degree)
         ks, cs = zip(*reversed(self._packed(width).terms))
         terms = _power_recurrence(ks, cs, n, 1, n * (ks[-1] - ks[0]), n, cs[0] ** n)

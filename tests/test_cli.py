@@ -749,6 +749,20 @@ def test_transfer_expands_a_power_of_ten_thousand_terms_at_once(capsys, tmp_path
     ]
 
 
+def test_transfer_returns_a_first_power_of_ten_thousand_terms_at_once(capsys, tmp_path):
+    # the base has 10000 terms, so the recurrence would take 10000^2 steps
+    line = "((x+1)^99*(y+1)^99)^1 == 1"
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "transfer", corpus(tmp_path, line + "\n"))
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (4, "")
+    assert out.splitlines() == [
+        f"[FAIL] line 1: {line}",
+        f"       counterexample at x = 0, y = 1: {2**99} != 1",
+        "checked 1: 0 hold, 1 fail",
+    ]
+
+
 def test_transfer_redraws_a_sample_point_whose_value_passes_the_digit_cap(capsys, tmp_path):
     # only x in {-1, 0, 1} keeps x^20000 under the digit cap; other points are redrawn
     code, out, err = invoke(capsys, "transfer", corpus(tmp_path, "x^20000 == x^20000\n"))

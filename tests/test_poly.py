@@ -132,6 +132,9 @@ def test_power():
     x_plus_y = P(XY, {(1, 0): 1, (0, 1): 1})
     assert x_plus_y**2 == P(XY, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     assert x_plus_y**0 == Polynomial.const(XY, 1)
+    assert x_plus_y**1 is x_plus_y
+    zero = Polynomial.zero(XY)
+    assert (zero**0, zero**3) == (Polynomial.const(XY, 1), zero)
     with pytest.raises(ValueError):
         x_plus_y ** (-1)
 
