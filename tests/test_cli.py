@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, formats, exit codes, streams."""
 
-import hashlib
 import io
 import itertools
 import json
@@ -851,67 +850,6 @@ def test_transfer_json_shape_and_seed(capsys, tmp_path):
         assert entry["report"]["seed"] == 7
     assert payload[0]["report"]["identity"] is True
     assert payload[1]["report"]["identity"] is False
-
-
-# sha256 of the stdout of ``transfer --format json -T 16 --seed S`` on each
-# shipped corpus: every point, text and verdict the sampler and the witness
-# search produce.  An intended change to the transfer output (ROADMAP items
-# 2 and 5) re-pins these digests.
-TRANSFER_DIGESTS = {
-    ("identities", 0): "67815ff76be3833128ffec94048034523b2effe0720d1b02a59dab7d602f423f",
-    ("identities", 1000): "b5aef8466621611a03dfde5458b13f72006539cb7f35f044152267e810300295",
-    ("non_identities", 0): "6bf9f06599ba70220bbb6cd14a84085bf249c6ccae630abc778a7558739f1de3",
-    ("non_identities", 1000): "03f47a2ab79b3803c7cfea3760aa717cd57bc4dfa1b675af8e3b9d28a3047a4e",
-}
-
-
-@pytest.mark.parametrize("name, seed", sorted(TRANSFER_DIGESTS))
-def test_transfer_json_output_is_pinned_byte_for_byte(capsys, name, seed):
-    path = Path(__file__).resolve().parent.parent / "corpora" / f"{name}.txt"
-    code, out, err = invoke(
-        capsys, "transfer", "--format", "json", "-T", "16", "--seed", str(seed), str(path)
-    )
-    assert (code, err) == (0 if name == "identities" else 4, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == TRANSFER_DIGESTS[name, seed]
-
-
-# sha256 of the stdout of ``gallery --format F ID``, the same at every
-# truncation order (acceptance criterion 9), and of README's ``eval`` and
-# ``diff`` examples.  An intended change to that output re-pins these digests.
-GALLERY_DIGESTS = {
-    ("ellipse_parabola", "text"): "d8f408acd88c4fd04409a4b0a91029532feae7052ac5cf07da35b0b293a15e68",
-    ("ellipse_parabola", "json"): "05a43ae1df6fc630b773138045856fd62a6f0f614cab637446fd5c7491e02642",
-    ("infinitesimal_equality", "text"): "b8773f19183bf856deb09908a77e4871487bca7deb734b17c35f3db4bbac289a",
-    ("infinitesimal_equality", "json"): "1becc836ba0b8bb29ddc286863ceda3b41d68547dd413141a6157cadcc5053bf",
-    ("parallel_lines", "text"): "7dcdaf119345bba9229ca070e72314113f6d0ad326e4fddd277ae733d7c29e3d",
-    ("parallel_lines", "json"): "968f7202d6a52cd4bde4add4d018b5ea89f97bbad9889fddf84aa0576d0433bb",
-    ("product_rule", "text"): "b3d4ce8e5106d5402fcd6e65a732c5449a5b0f069913d70568fe6f83dd67afed",
-    ("product_rule", "json"): "9d0d02d0629ae89edf973e464061a36ba659f87031f4c38ef8b6329887e0ddb7",
-}
-EXAMPLE_DIGESTS = {
-    ("eval", "1/(1 - eps)"): "f59b191bc987cc67f8edddfc93da9989d5507a7410ef697cb3e5d0d42fa6d174",
-    ("eval", "-b", "x=3+eps", "st(x^2)"): "b07da02733884f646dcdd39212af15c7a9862bd5af8a84426360820327188d3e",
-    ("diff", "x^3", "x", "2"): "8758cdbedf93adb07ac073287c53221d04bbea69e5eb12607576f2951fb7f253",
-    ("eval", "--format", "json", "2 + 3*eps"): "b359ba63b2de56debcd75cafccdf042dc2842aeb35aa1bfd7fff0ea8d5b0ca89",
-    ("diff", "x^2", "x", "--", "-1/2"): "6f890cb785ff3204e99977065fc9b72d610e21862199db8640db44ceb72b1e46",
-    ("eval", "-b", "x=2", "--", "-x^2"): "c8c9ad03b1df947a557533e2fda14c4a32b596868ffcae22f6e53ad4670c2cab",
-    ("eval", "sqrt(4*eps)"): "24a2bc0188b35bc4084525095756e0f693543b40d7d914a4134cf9b99b050196",
-}
-
-
-@pytest.mark.parametrize("precision", ["4", "16", "64"])
-@pytest.mark.parametrize("example_id, fmt", sorted(GALLERY_DIGESTS))
-def test_gallery_output_is_pinned_byte_for_byte(capsys, example_id, fmt, precision):
-    code, out, err = invoke(capsys, "gallery", "--format", fmt, "-T", precision, example_id)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == GALLERY_DIGESTS[example_id, fmt]
-
-
-@pytest.mark.parametrize("argv", sorted(EXAMPLE_DIGESTS))
-def test_readme_eval_and_diff_output_is_pinned_byte_for_byte(capsys, argv):
-    code, out, err = invoke(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_DIGESTS[argv]
 
 
 def test_transfer_json_marks_a_sample_inconclusive_when_every_draw_fails(
