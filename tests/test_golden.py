@@ -82,8 +82,9 @@ def test_every_readme_command_line_has_an_entry():
 
 def test_no_entry_pins_a_usage_line_or_a_temporary_path_or_writes_outside_its_directory():
     for entry in ENTRIES:
-        assert ("stderr" in entry) != ("stderr_tail" in entry), entry["id"]
-        pinned = entry.get("stderr", entry.get("stderr_tail"))
+        fields = [key for key in ("stderr", "stderr_tail", "stderr_unpinned") if key in entry]
+        assert len(fields) == 1, entry["id"]
+        pinned = entry.get("stderr", entry.get("stderr_tail", ""))
         assert "usage:" not in pinned and tempfile.gettempdir() not in pinned, entry["id"]
         assert not any(Path(arg).is_absolute() or ".." in Path(arg).parts for arg in entry["argv"])
 
